@@ -15,7 +15,8 @@ class DensityValidationError(AbsFefError):
     Attributes
     ----------
     invariant : str
-        Name of the violated invariant ("hermiticity", "trace", "positivity").
+        Name of the violated invariant ("finiteness", "hermiticity", "trace",
+        "positivity").
     magnitude : float
         Size of the violation.
     """

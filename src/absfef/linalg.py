@@ -139,8 +139,8 @@ def validate_density(m, dim_a, dim_b, tol=None):
     """Check the density-matrix invariants and wrap the matrix.
 
     Raises :class:`DensityValidationError` naming the violated invariant and
-    its magnitude when hermiticity, unit trace or positivity fails beyond
-    ``tol``.
+    its magnitude when an entry is not finite, or when hermiticity, unit
+    trace or positivity fails beyond ``tol``.
     """
     m = np.asarray(m, dtype=complex)
     if tol is None:
@@ -150,6 +150,11 @@ def validate_density(m, dim_a, dim_b, tol=None):
     if m.shape != (n, n):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match dims {dim_a}x{dim_b}")
+    # NaN compares false against every tolerance below, so check it first.
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        raise DensityValidationError("finiteness", float(bad),
+                                     f"{bad} matrix entries are not finite")
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > tol:
         raise DensityValidationError("hermiticity", asym)

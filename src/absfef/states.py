@@ -11,6 +11,7 @@ import numpy as np
 
 from .bases import PAULI
 from .errors import DomainError
+from .fef import canonical_ket
 from .linalg import DensityMatrix, kron, validate_density
 
 FAMILIES = ("x1", "x2", "y3", "isotropic", "comp_diag", "bell_diag",
@@ -24,9 +25,7 @@ def max_entangled(d):
     d = int(d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
-    psi = np.zeros(d * d, dtype=complex)
-    psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return psi
+    return canonical_ket(d)
 
 
 def _projector(ket):

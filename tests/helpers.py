@@ -3,9 +3,10 @@
 import numpy as np
 
 
-def ginibre_density(rng, n):
-    """Random full-rank density matrix from the Ginibre ensemble."""
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def ginibre_density(rng, n, rank=None):
+    """Random Ginibre density matrix of rank ``rank`` (default: full rank)."""
+    k = n if rank is None else rank
+    g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     m = g @ g.conj().T
     return m / np.trace(m).real
 

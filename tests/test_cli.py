@@ -84,6 +84,10 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     _write_state(path2, np.diag([1.5, -0.5, 0, 0]), (2, 2))
     res = runner.invoke(main, ["analyze", "--input", str(path2)])
     assert res.exit_code == 2
+    path3 = tmp_path / "nan.json"
+    _write_state(path3, np.full((4, 4), np.nan), (2, 2))  # json writes NaN
+    res = runner.invoke(main, ["analyze", "--input", str(path3)])
+    assert res.exit_code == 2
 
 
 def test_analyze_missing_file_exit_5(runner, tmp_path):
@@ -96,6 +100,9 @@ def test_analyze_domain_error_exit_3(runner):
     res = runner.invoke(main, ["analyze", "--family", "x2", "--q", "1.5"])
     assert res.exit_code == 3
     res = runner.invoke(main, ["analyze", "--family", "nonesuch"])
+    assert res.exit_code == 3
+    res = runner.invoke(main, ["--tol", "-1", "analyze",
+                               "--family", "isotropic", "--beta", "0"])
     assert res.exit_code == 3
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import (canonical_ket, fef, fef_lower_bound,
+from absfef.fef import (MAX_RESTARTS, canonical_ket, fef, fef_lower_bound,
                         fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
@@ -64,21 +66,42 @@ def test_fef_monotone_in_restarts_and_deterministic():
 
 
 def test_fef_result_evaluate_consistent():
-    rho = _as_state(ginibre_density(np.random.default_rng(13), 4), 2)
-    res = fef(rho, restarts=4, seed=0)
-    u = res.optimizer_unitary
-    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-9
-    assert res.evaluate(rho) == pytest.approx(res.value, abs=1e-12)
+    for d in (2, 3):
+        rho = _as_state(ginibre_density(np.random.default_rng(13), d * d), d)
+        res = fef(rho, restarts=4, seed=0)
+        u = res.optimizer_unitary
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-9
+        assert res.evaluate(rho) == pytest.approx(res.value, abs=1e-12)
 
 
 def test_fef_matches_closed_form_oracle():
     rng = np.random.default_rng(14)
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    ket01 = np.array([0, 1, 0, 0])
+    # Both are orthogonal to |psi+>, so rho|psi+> = 0 and the identity start
+    # is a stationary point of the ascent.
+    stationary = [np.outer(singlet, singlet),
+                  (np.outer(singlet, singlet) + np.outer(ket01, ket01)) / 2]
+    full = [ginibre_density(rng, 4) for _ in range(100)]
+    low = [ginibre_density(rng, 4, rank) for rank in (1, 2) for _ in range(20)]
     worst = 0.0
-    for _ in range(100):
-        rho = _as_state(ginibre_density(rng, 4), 2)
+    for m in full + low + stationary:
+        rho = _as_state(m, 2)
         worst = max(worst, abs(fef(rho, restarts=4, seed=1).value
                                - fef_two_qubit_closed_form(rho)))
     assert worst < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 3]), rank=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_fef_bracketed_by_overlap_and_lambda_max(d, rank, seed):
+    rho = _as_state(ginibre_density(np.random.default_rng(seed), d * d,
+                                    min(rank, d * d)), d)
+    value = fef(rho).value
+    assert fef_lower_bound(rho) <= value + 1e-12
+    assert value <= np.linalg.eigvalsh(rho.matrix)[-1] + 1e-9
+    assert value >= 1 / d**2 - 1e-12
 
 
 def test_fef_local_unitary_invariance_d2():
@@ -105,8 +128,12 @@ def test_fef_local_unitary_invariance_d3():
 
 def test_fef_domain_errors():
     rho = states.x1()
-    with pytest.raises(DomainError):
-        fef(rho, restarts=0)
+    for restarts in (0, MAX_RESTARTS + 1):
+        with pytest.raises(DomainError):
+            fef(rho, restarts=restarts)
+    for tol in (-1, 0, float("nan")):
+        with pytest.raises(DomainError):
+            fef(rho, tol=tol)
     big = _as_state(np.eye(16, dtype=complex) / 16, 4)
     with pytest.raises(DomainError):
         fef(big)

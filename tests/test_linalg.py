@@ -84,6 +84,8 @@ def test_validate_density_accepts_and_freezes():
     (np.array([[0.5, 0.1], [0.3, 0.5]]), "hermiticity"),
     (np.eye(2), "trace"),
     (np.diag([1.5, -0.5]), "positivity"),
+    (np.full((2, 2), np.nan), "finiteness"),
+    (np.diag([np.inf, 0.5]), "finiteness"),
 ])
 def test_validate_density_names_invariant(m, invariant):
     with pytest.raises(DensityValidationError) as exc:
