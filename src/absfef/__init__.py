@@ -8,8 +8,7 @@ marginal analyses behind those results.
 
 from .absolute import (ClassificationReport, MembershipVerdict, PurityBounds,
                        activating_unitary, classify, is_absolute_fef,
-                       is_absolutely_separable_2q, max_global_fef, purity,
-                       purity_bounds)
+                       is_absolutely_separable_2q, max_global_fef, purity_bounds)
 from .bases import OperatorBasis, operator_basis
 from .bloch import BlochParams, bloch_extract, classI_membership, classII_membership
 from .errors import (AbsFefError, DensityValidationError, DomainError,

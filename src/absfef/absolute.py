@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, MatrixShapeError
-from .fef import canonical_ket, fef, fef_lower_bound
-from .linalg import DensityMatrix, eig_hermitian
+from .fef import canonical_ket, fef
+from .linalg import DensityMatrix
 
 BOUNDARY_TOL = 1e-9
 
@@ -35,18 +35,20 @@ def _require_square(rho: DensityMatrix):
             f"expected a square bipartition, got {rho.dim_a}x{rho.dim_b}")
 
 
+def _membership(lam, d, tol=BOUNDARY_TOL):
+    """The spectral rule: a member iff lambda_max <= 1/d + tol."""
+    return MembershipVerdict(absolute=lam <= 1 / d + tol,
+                             boundary=abs(lam - 1 / d) <= tol,
+                             lambda_max=lam)
+
+
 def is_absolute_fef(rho: DensityMatrix, tol=BOUNDARY_TOL):
     """Membership in the absolute-FEF set: lambda_max <= 1/d.
 
     Returns a :class:`MembershipVerdict`; ties within ``tol`` count as
     members with the boundary flag set.
     """
-    _require_square(rho)
-    d = rho.dim_a
-    lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
-    return MembershipVerdict(absolute=lam <= 1 / d + tol,
-                             boundary=abs(lam - 1 / d) <= tol,
-                             lambda_max=lam)
+    return _membership(max_global_fef(rho), rho.dim_a, tol)
 
 
 def max_global_fef(rho: DensityMatrix):
@@ -56,36 +58,18 @@ def max_global_fef(rho: DensityMatrix):
 
 
 def activating_unitary(rho: DensityMatrix):
-    """Global unitary rotating the top eigenvector onto |psi+>.
+    """Global unitary rotating the top eigenvector onto |psi+> (up to a phase).
 
-    Returns U = sum_k |m_k><v_k| with {v_k} the descending eigenbasis of rho
-    and {m_k} an orthonormal basis whose first element is |psi+> (completed
-    by Gram-Schmidt over the computational basis).  The rotated state
-    achieves canonical overlap lambda_max.
+    The Householder reflection U = I - 2 w w^dag / |w|^2 with
+    w = v + e^{i phi} |psi+>, phi = arg <psi+|v>, sends v to
+    -e^{i phi} |psi+>; |w|^2 = 2 + 2 |<psi+|v>| >= 2, so no case needs a
+    branch.  The rotated state achieves canonical overlap lambda_max.
     """
     _require_square(rho)
-    d = rho.dim_a
-    n = d * d
-    spec = eig_hermitian(rho.matrix)
-    targets = np.zeros((n, n), dtype=complex)
-    targets[:, 0] = canonical_ket(d)
-    filled = 1
-    for j in range(n):
-        if filled == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[j] = 1.0
-        cand -= targets[:, :filled] @ (targets[:, :filled].conj().T @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            targets[:, filled] = cand / norm
-            filled += 1
-    return targets @ spec.eigenvectors.conj().T
-
-
-def purity(rho: DensityMatrix):
-    """Tr(rho^2)."""
-    return rho.purity()
+    psi = canonical_ket(rho.dim_a)
+    v = np.linalg.eigh(rho.matrix)[1][:, -1]
+    w = v + np.exp(1j * np.angle(np.vdot(psi, v))) * psi
+    return np.eye(v.size) - (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
 
 
 def is_absolutely_separable_2q(spectrum):
@@ -110,12 +94,14 @@ def is_absolutely_separable_2q(spectrum):
 class ClassificationReport:
     """Three-way teleportation-usefulness verdict for a state.
 
+    ``spectrum`` holds the eigenvalues in descending order.
     ``k_copy_nonlocal`` is None for ABSOLUTE states: the spectral criterion
     gives no conclusion there, and the report must not claim locality.
     """
 
     label: str
     lambda_max: float
+    spectrum: np.ndarray
     fef_value: float
     threshold: float
     boundary: bool
@@ -135,30 +121,23 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     _require_square(rho)
     d = rho.dim_a
     thr = 1 / d
-    verdict = is_absolute_fef(rho)
+    spectrum = np.linalg.eigvalsh(rho.matrix)[::-1]
+    verdict = _membership(float(spectrum[0]), d)
     result = fef(rho, restarts=restarts, seed=seed, tol=tol)
     f_val = result.value
 
     if f_val > thr + BOUNDARY_TOL:
-        label = LABEL_USEFUL
-        k_copy = True
-        useful = True
-        boundary = False
+        label, boundary = LABEL_USEFUL, False
     elif verdict.absolute:
-        label = LABEL_ABSOLUTE
-        k_copy = None
-        useful = False
-        boundary = verdict.boundary
+        label, boundary = LABEL_ABSOLUTE, verdict.boundary
     else:
         # activation exists; the activated state has FEF > 1/d, hence k-copy
-        label = LABEL_ACTIVATABLE
-        k_copy = True
-        useful = False
-        boundary = abs(f_val - thr) <= BOUNDARY_TOL
+        label, boundary = LABEL_ACTIVATABLE, abs(f_val - thr) <= BOUNDARY_TOL
     return ClassificationReport(
-        label=label, lambda_max=verdict.lambda_max, fef_value=f_val,
-        threshold=thr, boundary=boundary, k_copy_nonlocal=k_copy,
-        teleportation_useful=useful, fef_converged=result.converged,
+        label=label, lambda_max=verdict.lambda_max, spectrum=spectrum,
+        fef_value=f_val, threshold=thr, boundary=boundary,
+        k_copy_nonlocal=None if label == LABEL_ABSOLUTE else True,
+        teleportation_useful=label == LABEL_USEFUL, fef_converged=result.converged,
         fef_restarts=result.restarts_used)
 
 
@@ -179,103 +158,22 @@ class PurityBounds:
     min_attained: bool = False
 
 
-def _analytic_purity_bounds(d):
-    n = d * d
-    max_spec = np.zeros(n)
-    max_spec[:d] = 1 / d
-    min_spec = np.full(n, 1 / (d * (d + 1)))
-    min_spec[0] = 1 / d
-    return float(np.sum(max_spec**2)), float(np.sum(min_spec**2)), max_spec, min_spec
+def purity_bounds(d):
+    """Closed-form purity thresholds of the absolute-FEF set.
 
-
-def _cap_simplex(lam, cap):
-    """Project a simplex point to the cap lambda_i <= cap, redistributing excess."""
-    lam = lam.copy()
-    for _ in range(lam.size):
-        over = lam > cap
-        if not over.any():
-            break
-        excess = float(np.sum(lam[over] - cap))
-        lam[over] = cap
-        free = ~over
-        if not free.any():
-            break
-        lam[free] += excess * lam[free] / max(float(lam[free].sum()), 1e-300)
-    return lam
-
-
-def _numeric_max_purity(d, grid, rng):
-    n = d * d
-    cap = 1 / d
-    best = -np.inf
-    for _ in range(grid):
-        lam = _cap_simplex(rng.dirichlet(np.full(n, 0.4)), cap)
-        best = max(best, float(np.sum(lam**2)))
-    # greedy polish: shift mass between pairs toward the capped vertex
-    lam = _cap_simplex(rng.dirichlet(np.ones(n)), cap)
-    step = 0.25
-    val = float(np.sum(lam**2))
-    while step > 1e-9:
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                delta = min(step, lam[j], cap - lam[i])
-                if delta <= 0:
-                    continue
-                cand = lam.copy()
-                cand[i] += delta
-                cand[j] -= delta
-                cval = float(np.sum(cand**2))
-                if cval > val + 1e-16:
-                    lam, val = cand, cval
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return max(best, val)
-
-
-def _numeric_min_purity(d, grid, rng):
-    """Minimum purity with lambda_1 pinned just above 1/d, for shrinking eps."""
-    n = d * d
-    last = None
-    for eps in (1e-3, 1e-4, 1e-5):
-        lam1 = 1 / d + eps
-        rest_total = 1 - lam1
-        best = np.inf
-        for _ in range(grid):
-            rest = rng.dirichlet(np.ones(n - 1)) * rest_total
-            best = min(best, lam1**2 + float(np.sum(rest**2)))
-        # iterative averaging drives the free block to the equal split
-        rest = rng.dirichlet(np.ones(n - 1)) * rest_total
-        for _ in range(200):
-            rest = 0.5 * (rest + rest_total / (n - 1))
-        best = min(best, lam1**2 + float(np.sum(rest**2)))
-        last = best
-    return last
-
-
-def purity_bounds(d, grid=2000, seed=0):
-    """Analytic purity thresholds, cross-checked by projected random search.
-
-    Raises if the numeric search disagrees with the closed forms (1e-6 for
-    the maximum, 1e-4 for the shrinking-constraint minimum).
+    The purest member spreads 1/d over d eigenvalues (Tr rho^2 = 1/d); the
+    least pure non-member pins lambda_1 at 1/d and spreads the rest evenly
+    over the other d^2 - 1 (Tr rho^2 = 2/(d(d+1))), an infimum that no
+    non-member attains.
     """
     d = int(d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
-    max_p, min_p, max_spec, min_spec = _analytic_purity_bounds(d)
-    rng = np.random.default_rng(seed)
-    num_max = _numeric_max_purity(d, grid, rng)
-    num_min = _numeric_min_purity(d, grid, rng)
-    if abs(num_max - max_p) > 1e-6:
-        raise ArithmeticError(
-            f"numeric max-purity search {num_max!r} disagrees with {max_p!r}")
-    if abs(num_min - min_p) > 1e-4:
-        raise ArithmeticError(
-            f"numeric min-purity search {num_min!r} disagrees with {min_p!r}")
-    return PurityBounds(d=d, max_purity_absolute=max_p,
-                        min_purity_nonabsolute=min_p,
+    max_spec = np.zeros(d * d)
+    max_spec[:d] = 1 / d
+    min_spec = np.full(d * d, 1 / (d * (d + 1)))
+    min_spec[0] = 1 / d
+    return PurityBounds(d=d, max_purity_absolute=float(np.sum(max_spec**2)),
+                        min_purity_nonabsolute=float(np.sum(min_spec**2)),
                         witness_spectra=(max_spec, min_spec),
                         min_attained=False)

@@ -12,9 +12,10 @@ import numpy as np
 
 from .bases import PAULI
 from .errors import DomainError, MatrixShapeError
-from .linalg import DensityMatrix, kron
+from .linalg import DensityMatrix
 
 _MEMBER_TOL = 1e-12
+_SIGMA = np.array(PAULI)
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,10 @@ class BlochParams:
     t: np.ndarray
 
     def reconstruct(self):
-        sig = PAULI[1:]
-        rho = np.eye(4, dtype=complex) / 4
-        for i in range(3):
-            rho += 0.5 * self.a[i] * kron(sig[i], np.eye(2))
-            rho += 0.5 * self.b[i] * kron(np.eye(2), sig[i])
-            for j in range(3):
-                rho += self.t[i, j] * kron(sig[i], sig[j])
-        return rho
+        """rho = (1/4) sum_ij c_ij s_i (x) s_j, the inverse of bloch_extract."""
+        c = np.block([[np.ones((1, 1)), 2 * self.b[None, :]],
+                      [2 * self.a[:, None], 4 * self.t]])
+        return np.einsum("ac,aik,cjl->ijkl", c, _SIGMA, _SIGMA).reshape(4, 4) / 4
 
 
 def bloch_extract(rho: DensityMatrix):
@@ -41,13 +38,10 @@ def bloch_extract(rho: DensityMatrix):
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise MatrixShapeError(
             f"Bloch extraction needs a 2x2 bipartition, got {rho.dim_a}x{rho.dim_b}")
-    sig = PAULI[1:]
-    eye = np.eye(2)
-    m = rho.matrix
-    a = np.array([np.real(np.sum(kron(s, eye) * m.T)) / 2 for s in sig])
-    b = np.array([np.real(np.sum(kron(eye, s) * m.T)) / 2 for s in sig])
-    t = np.array([[np.real(np.sum(kron(si, sj) * m.T)) / 4 for sj in sig]
-                  for si in sig])
+    # c[i, j] = Tr(rho s_i (x) s_j), with s_0 = I
+    c = np.einsum("ijkl,aki,clj->ac", rho.matrix.reshape(2, 2, 2, 2),
+                  _SIGMA, _SIGMA).real
+    a, b, t = c[1:, 0] / 2, c[0, 1:] / 2, c[1:, 1:] / 4
     return BlochParams(a=a, b=b, t=t)
 
 

@@ -9,15 +9,16 @@ Exit codes: 0 success, 1 fixture failure, 2 parse error, 3 domain error,
 """
 
 import json
+import math
 import sys
 from fractions import Fraction
 
 import click
 import numpy as np
 
-from . import absolute, states, tripartite, witness as witness_mod
+from . import absolute, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError, MatrixShapeError
-from .fef import fef, fef_lower_bound
+from .fef import fef_lower_bound
 from .bloch import bloch_extract
 from .linalg import validate_density
 from .reproduce import run_fixtures
@@ -27,6 +28,8 @@ EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_NO_WITNESS = 4
 EXIT_IO_ERROR = 5
+
+MAX_SCAN_POINTS = 10_000
 
 
 def _fmt(x):
@@ -77,38 +80,47 @@ def _matrix_to_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _format_error(message):
+    return DensityValidationError("format", float("nan"), message)
+
+
 def _matrix_from_json(rows):
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
-        raise DensityValidationError(
-            "format", float("nan"),
-            f"matrix entries must be [re, im] pairs: {exc}") from exc
+        raise _format_error(f"matrix entries must be [re, im] pairs: {exc}") from exc
 
 
-def _load_state_file(path):
+def _load_matrix_file(path, needs):
+    """Read a JSON file holding a row-major [re, im] 'matrix'.
+
+    Returns (document, matrix).  Invalid JSON, a missing 'matrix' (reported
+    as ``needs``) or a malformed entry is a parse error (exit 2); a file
+    that cannot be opened stays an I/O error (exit 5).
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError:
-        raise
+        return doc, _matrix_from_json(doc["matrix"])
     except json.JSONDecodeError as exc:
-        raise DensityValidationError("format", float("nan"),
-                                     f"invalid JSON in {path}: {exc}") from exc
+        raise _format_error(f"invalid JSON in {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _format_error(f"{needs}: {exc}") from exc
+
+
+def _load_state_file(path):
+    needs = "state file needs 'dims' and 'matrix' fields"
+    doc, matrix = _load_matrix_file(path, needs)
     try:
         dim_a, dim_b = (int(v) for v in doc["dims"])
-        matrix = _matrix_from_json(doc["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise DensityValidationError(
-            "format", float("nan"),
-            f"state file needs 'dims' and 'matrix' fields: {exc}") from exc
+        raise _format_error(f"{needs}: {exc}") from exc
     return validate_density(matrix, dim_a, dim_b)
 
 
 _FAMILY_OPTIONS = [
     click.option("--family", type=str, default=None,
-                 help="Named state family (x1, x2, y3, isotropic, comp_diag, "
-                      "bell_diag, ghz, w, af_not_as_example, max_entangled, ghzw)."),
+                 help=f"Named state family ({', '.join(states.FAMILIES)})."),
     click.option("--input", "input_path", type=str, default=None,
                  help="JSON state file with 'dims' and row-major [re, im] 'matrix'."),
     click.option("--q", default=None, help="Mixing parameter for x2 / y3."),
@@ -133,17 +145,10 @@ def _resolve_state(family, input_path, q, d, beta, p, weights, t11, t22, t33):
         raise DomainError("provide exactly one of --family or --input")
     if input_path is not None:
         return _load_state_file(input_path)
-    if family == "ghzw":
-        if p is None:
-            raise DomainError("family ghzw needs --p")
-        return tripartite.ghzw_marginal(_num(p)).marginal
-    params = {}
-    if q is not None:
-        params["q"] = _num(q)
+    params = {name: _num(v) for name, v in (("q", q), ("beta", beta), ("p", p))
+              if v is not None}
     if d is not None:
         params["d"] = int(d)
-    if beta is not None:
-        params["beta"] = _num(beta)
     if weights is not None:
         params["weights"] = [_num(v) for v in weights.split(",")]
     if t11 is not None or t22 is not None or t33 is not None:
@@ -181,13 +186,15 @@ def _fail(exc):
 @click.pass_context
 def main(ctx, seed, restarts, tol, as_json):
     """Absolute fully entangled fraction toolkit."""
+    if seed < 0:
+        _fail(DomainError(f"--seed must be >= 0, got {seed}"))
     ctx.obj = {"seed": seed, "restarts": restarts, "tol": tol, "json": as_json}
 
 
 def _build_report(rho, opts):
     report = absolute.classify(rho, restarts=opts["restarts"],
                                seed=opts["seed"], tol=opts["tol"])
-    spectrum = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
+    spectrum = report.spectrum
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
         "threshold": report.threshold,
@@ -263,9 +270,8 @@ def witness_cmd(ctx, unitary_path, **kwargs):
         d = rho.dim_a
         w = witness_mod.teleportation_witness(d)
         if unitary_path is not None:
-            with open(unitary_path) as fh:
-                doc = json.load(fh)
-            u = _matrix_from_json(doc["matrix"])
+            _, u = _load_matrix_file(unitary_path,
+                                     "unitary file needs a 'matrix' field")
         else:
             verdict = absolute.is_absolute_fef(rho)
             if verdict.absolute:
@@ -304,11 +310,11 @@ def witness_cmd(ctx, unitary_path, **kwargs):
                     click.echo(f"  c[{li},{lj}] = {_fmt(c)}")
 
 
-_SCAN_FAMILIES = {"x2": "q", "y3": "q", "isotropic": "beta", "ghzw": "p"}
+_SWEEPS = {name: f.sweep for name, f in states.FAMILIES.items() if f.sweep}
 
 
 @main.command()
-@click.option("--family", required=True, type=click.Choice(sorted(_SCAN_FAMILIES)))
+@click.option("--family", required=True, type=click.Choice(sorted(_SWEEPS)))
 @click.option("--param", default=None, help="Parameter to sweep (defaults per family).")
 @click.option("--range", "range_spec", required=True,
               help="Grid as start:stop:step (rationals accepted).")
@@ -318,15 +324,23 @@ _SCAN_FAMILIES = {"x2": "q", "y3": "q", "isotropic": "beta", "ghzw": "p"}
 def scan(ctx, family, param, range_spec, d, output):
     """Sweep one family parameter; emit a CSV of spectra, FEF and labels."""
     try:
-        expected = _SCAN_FAMILIES[family]
+        expected = _SWEEPS[family]
         if param is not None and param != expected:
             raise DomainError(f"family {family} sweeps {expected!r}, not {param!r}")
         parts = range_spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"range must be start:stop:step, got {range_spec!r}")
         start, stop, step = (_num(v) for v in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise DomainError(f"range bounds and step must be finite, got {range_spec!r}")
         if step <= 0:
             raise DomainError("range step must be positive")
+        if (stop - start) / step + 1 > MAX_SCAN_POINTS:
+            raise DomainError(f"range {range_spec!r} has more than "
+                              f"{MAX_SCAN_POINTS} points")
+        params = {}
+        if d is not None and "d" in states.FAMILIES[family].params:
+            params["d"] = int(d)
         grid = []
         v = start
         while v <= stop + 1e-12:
@@ -334,14 +348,7 @@ def scan(ctx, family, param, range_spec, d, output):
             v = start + len(grid) * step
         rows = []
         for v in grid:
-            if family == "x2":
-                rho = states.x2(v)
-            elif family == "y3":
-                rho = states.y3(v)
-            elif family == "isotropic":
-                rho = states.isotropic(int(d) if d is not None else 2, v)
-            else:
-                rho = tripartite.ghzw_marginal(v).marginal
+            rho = states.construct(states.FamilySpec(family, {**params, expected: v}))
             report = absolute.classify(rho, restarts=ctx.obj["restarts"],
                                        seed=ctx.obj["seed"], tol=ctx.obj["tol"])
             rows.append((v, report.lambda_max, fef_lower_bound(rho),
@@ -372,7 +379,7 @@ def scan(ctx, family, param, range_spec, d, output):
 def bounds(ctx, d):
     """Purity thresholds bracketing the absolute-FEF set."""
     try:
-        pb = absolute.purity_bounds(d, seed=ctx.obj["seed"])
+        pb = absolute.purity_bounds(d)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     doc = {

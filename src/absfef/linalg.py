@@ -50,10 +50,6 @@ class Spectrum:
     def lambda_max(self):
         return float(self.eigenvalues[0])
 
-    @property
-    def purity(self):
-        return float(np.sum(self.eigenvalues**2))
-
 
 def eig_hermitian(h, tol=HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix.
@@ -126,9 +122,6 @@ class DensityMatrix:
     @property
     def is_square_bipartition(self):
         return self.dim_a == self.dim_b
-
-    def spectrum(self):
-        return eig_hermitian(self.matrix)
 
     def purity(self):
         """Tr(rho^2)."""

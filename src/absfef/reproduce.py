@@ -13,7 +13,7 @@ import numpy as np
 from . import absolute, bloch, states, tripartite, witness
 from .bases import GELLMANN
 from .fef import fef, fef_two_qubit_closed_form
-from .linalg import eig_hermitian, kron, partial_trace, validate_density
+from .linalg import kron, partial_trace, validate_density
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def run_fixtures(restarts=None, seed=0):
                                        seed=seed).label == absolute.LABEL_USEFUL))
 
     # --- purity bounds ---
-    pb = absolute.purity_bounds(2, seed=seed)
+    pb = absolute.purity_bounds(2)
     out.append(_value("purity.max_absolute.d2", 0.5, pb.max_purity_absolute, 1e-9))
     out.append(_value("purity.min_nonabsolute.d2", 1 / 3,
                       pb.min_purity_nonabsolute, 1e-9))

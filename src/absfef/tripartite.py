@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DensityMatrix, eig_hermitian, partial_trace, validate_density
+from .linalg import DensityMatrix, partial_trace, validate_density
 
 _BOUNDARY_TOL = 1e-9
 

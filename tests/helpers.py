@@ -18,18 +18,30 @@ def haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def capped_spectrum(rng, n, cap):
-    """Random probability vector with every entry at most ``cap``."""
-    lam = rng.dirichlet(np.ones(n))
-    for _ in range(n):
+def capped_spectrum(rng, n, cap, alpha=1.0):
+    """Random probability vector with every entry at most ``cap`` (n * cap > 1).
+
+    The draw starts from a symmetric Dirichlet(``alpha``) point: a small
+    ``alpha`` gives sparse spectra that end on the extremal ones (1/cap
+    entries at the cap), a large one nearly even spectra.
+
+    Entries above the cap are pinned to it and the excess is spread over the
+    entries not yet pinned, in proportion to their weight, until none exceeds
+    the cap; each round pins at least one more entry.
+    """
+    lam = rng.dirichlet(np.full(n, alpha))
+    pinned = np.zeros(n, dtype=bool)
+    while True:
         over = lam > cap
         if not over.any():
-            break
+            return lam
+        pinned |= over
         excess = float(np.sum(lam[over] - cap))
         lam[over] = cap
-        free = ~over
-        lam[free] += excess * lam[free] / max(float(lam[free].sum()), 1e-300)
-    return lam
+        free = ~pinned
+        # a sparse draw can leave every free entry at exactly 0
+        share = lam[free] if lam[free].sum() > 0 else np.ones(free.sum())
+        lam[free] += excess * share / share.sum()
 
 
 def absolute_state(rng, d):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absfef import absolute, states
 from absfef.errors import DomainError, MatrixShapeError
 from absfef.fef import canonical_ket
 from absfef.linalg import validate_density
-from helpers import absolute_state, ginibre_density, haar_unitary
+from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
 
 
 def test_membership_verdicts():
@@ -43,11 +45,20 @@ def test_membership_needs_square_bipartition():
         absolute.is_absolute_fef(states.ghz())
 
 
+# States whose top eigenvector is orthogonal to |psi+> or equal to it: the
+# two extremes of the Householder vector w = v + e^{i phi} |psi+>.
+_ACTIVATION_EDGE_CASES = {
+    2: [states.comp_diag([0.1, 0.7, 0.1, 0.1]), states.isotropic(2, 0.9)],
+    3: [states.isotropic(3, 0.9)],
+}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_activating_unitary_attains_lambda_max(d):
     rng = np.random.default_rng(21)
-    for _ in range(25):
-        rho = validate_density(ginibre_density(rng, d * d), d, d)
+    randoms = [validate_density(ginibre_density(rng, d * d), d, d)
+               for _ in range(25)]
+    for rho in randoms + _ACTIVATION_EDGE_CASES[d]:
         u = absolute.activating_unitary(rho)
         n = d * d
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-9
@@ -109,11 +120,35 @@ def test_purity_bounds_values():
     assert pb2.max_purity_absolute == pytest.approx(0.5, abs=1e-12)
     assert pb2.min_purity_nonabsolute == pytest.approx(1 / 3, abs=1e-12)
     assert pb2.min_attained is False
-    pb3 = absolute.purity_bounds(3, grid=500)
+    pb3 = absolute.purity_bounds(3)
     assert pb3.max_purity_absolute == pytest.approx(1 / 3, abs=1e-12)
     assert pb3.min_purity_nonabsolute == pytest.approx(1 / 6, abs=1e-12)
     with pytest.raises(DomainError):
         absolute.purity_bounds(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       alpha=st.sampled_from([0.01, 0.3, 1.0, 30.0]),
+       excess=st.floats(1e-9, 1.0))
+def test_purity_bounds_bracket_random_spectra(d, seed, alpha, excess):
+    pb = absolute.purity_bounds(d)
+    n = d * d
+    rng = np.random.default_rng(seed)
+    member = capped_spectrum(rng, n, 1 / d, alpha)
+    assert member.max() <= 1 / d + 1e-12
+    assert np.sum(member**2) <= pb.max_purity_absolute + 1e-12
+    # lambda_1 = 1/d + excess (1 - 1/d) > 1/d; the rest split at random
+    top = 1 / d + excess * (1 - 1 / d)
+    rest = rng.dirichlet(np.full(n - 1, alpha)) * (1 - top)
+    assert top**2 + np.sum(rest**2) >= pb.min_purity_nonabsolute - 1e-12
+    max_spec, min_spec = pb.witness_spectra
+    for spec in (max_spec, min_spec):
+        assert spec.shape == (n,) and np.sum(spec) == pytest.approx(1, abs=1e-12)
+    assert max_spec.max() <= 1 / d + 1e-15
+    assert np.sum(max_spec**2) == pb.max_purity_absolute
+    assert min_spec[0] == pytest.approx(1 / d, abs=1e-15)
+    assert np.sum(min_spec**2) == pb.min_purity_nonabsolute
 
 
 def test_purity_sandwich_exhibits():

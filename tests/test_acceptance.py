@@ -189,7 +189,7 @@ def test_criterion_05_witness_soundness():
 def test_criterion_06_purity_thresholds():
     failures = []
     for d, want in ((2, (0.5, 1 / 3)), (3, (1 / 3, 1 / 6))):
-        pb = absolute.purity_bounds(d, grid=1000)
+        pb = absolute.purity_bounds(d)
         _check(failures, abs(pb.max_purity_absolute - want[0]) <= 1e-6,
                f"d={d}: max purity {pb.max_purity_absolute!r} != {want[0]!r}")
         _check(failures, abs(pb.min_purity_nonabsolute - want[1]) <= 1e-6,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from absfef import states
+from absfef.bases import PAULI
 from absfef.bloch import (bloch_extract, classI_membership, classII_membership)
 from absfef.errors import DomainError, MatrixShapeError
 from absfef.linalg import validate_density
@@ -13,6 +14,12 @@ def test_extract_reconstruct_roundtrip():
     for _ in range(20):
         rho = validate_density(ginibre_density(rng, 4), 2, 2)
         bp = bloch_extract(rho)
+        # reference: c_ij = Tr(rho s_i (x) s_j), one kron-trace at a time
+        c = np.array([[np.trace(np.kron(si, sj) @ rho.matrix).real
+                       for sj in PAULI] for si in PAULI])
+        assert np.max(np.abs(bp.a - c[1:, 0] / 2)) < 1e-14
+        assert np.max(np.abs(bp.b - c[0, 1:] / 2)) < 1e-14
+        assert np.max(np.abs(bp.t - c[1:, 1:] / 4)) < 1e-14
         assert np.max(np.abs(bp.reconstruct() - rho.matrix)) < 1e-12
 
 

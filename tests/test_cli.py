@@ -94,6 +94,9 @@ def test_analyze_missing_file_exit_5(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--input",
                                str(tmp_path / "missing.json")])
     assert res.exit_code == 5
+    res = runner.invoke(main, ["witness", "--family", "x1", "--unitary",
+                               str(tmp_path / "missing.json")])
+    assert res.exit_code == 5
 
 
 def test_analyze_domain_error_exit_3(runner):
@@ -104,6 +107,9 @@ def test_analyze_domain_error_exit_3(runner):
     res = runner.invoke(main, ["--tol", "-1", "analyze",
                                "--family", "isotropic", "--beta", "0"])
     assert res.exit_code == 3
+    res = runner.invoke(main, ["--seed", "-1", "analyze", "--family", "x1"])
+    assert res.exit_code == 3
+    assert "--seed must be >= 0, got -1" in res.output
 
 
 def test_witness_activatable_state(runner):
@@ -146,6 +152,17 @@ def test_witness_explicit_unitary(runner, tmp_path):
     assert doc["expectation"] == pytest.approx(-1 / 6, abs=1e-12)
 
 
+@pytest.mark.parametrize("text", ["{not json", '{"rows": []}',
+                                  '{"matrix": [[1, 0], [0, 1]]}', "[1, 2]"])
+def test_witness_malformed_unitary_exit_2(runner, tmp_path, text):
+    path = tmp_path / "u.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["witness", "--family", "x1",
+                               "--unitary", str(path)])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+
+
 def test_scan_ghzw_label_flip(runner):
     res = runner.invoke(main, ["--restarts", "4", "scan", "--family", "ghzw",
                                "--range", "0.2:0.3:0.05"])
@@ -176,6 +193,18 @@ def test_scan_bad_range_exit_3(runner):
     res = runner.invoke(main, ["scan", "--family", "x2",
                                "--range", "0.9:0.1:-0.1"])
     assert res.exit_code == 3
+    # an infinite, a NaN or a 10^12-point grid is refused before any work
+    for spec in ("0.1:inf:1", "0:1:1e-12", "0.5:1:nan"):
+        res = runner.invoke(main, ["scan", "--family", "x2", "--range", spec])
+        assert res.exit_code == 3, spec
+
+
+def test_scan_families_are_the_registry_sweeps():
+    from absfef import states
+    from absfef.cli import scan
+    choices = next(p for p in scan.params if p.name == "family").type.choices
+    assert sorted(choices) == sorted(
+        name for name, f in states.FAMILIES.items() if f.sweep)
 
 
 def test_scan_unwritable_output_exit_5(runner, tmp_path):

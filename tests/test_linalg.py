@@ -35,7 +35,8 @@ def test_eig_hermitian_descending_and_reconstruction():
         rec = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
         assert np.max(np.abs(rec - h)) < 1e-9
         assert spec.lambda_max == pytest.approx(spec.eigenvalues[0])
-        assert spec.purity == pytest.approx(np.real(np.trace(h @ h)), abs=1e-12)
+        assert np.sum(spec.eigenvalues**2) == pytest.approx(
+            np.real(np.trace(h @ h)), abs=1e-12)
 
 
 def test_eig_hermitian_rejects_non_hermitian():

@@ -5,7 +5,8 @@ import pytest
 
 from absfef import states
 from absfef.errors import DomainError
-from absfef.linalg import partial_trace
+from absfef.linalg import DensityMatrix, partial_trace
+from absfef.tripartite import ghzw_marginal
 
 
 def test_max_entangled_normalized():
@@ -96,6 +97,26 @@ def test_family_spec_and_construct():
         states.FamilySpec("unknown_family")
     maxent = states.construct(states.FamilySpec("max_entangled", {"d": 2}))
     assert maxent.purity() == pytest.approx(1.0, abs=1e-12)
+    rho = states.construct(states.FamilySpec("ghzw", {"p": 0.3}))
+    assert np.array_equal(rho.matrix, ghzw_marginal(0.3).marginal.matrix)
+
+
+_SAMPLE_PARAMS = {"q": 0.5, "d": 3, "beta": 0.2, "p": 0.3,
+                  "weights": [0.4, 0.3, 0.2, 0.1],
+                  "t11": 0.1, "t22": -0.05, "t33": 0.12}
+
+
+@pytest.mark.parametrize("name", list(states.FAMILIES))
+def test_every_family_builds_through_construct(name):
+    family = states.FAMILIES[name]
+    params = {k: _SAMPLE_PARAMS[k] for k in family.params}
+    assert isinstance(states.construct(states.FamilySpec(name, params)),
+                      DensityMatrix)
+    assert family.sweep is None or family.sweep in family.params
+    for missing in set(family.params) - {"d"}:  # d defaults to 2
+        with pytest.raises(KeyError):
+            states.construct(states.FamilySpec(
+                name, {k: v for k, v in params.items() if k != missing}))
 
 
 @pytest.mark.parametrize("uid, n", [("U1", 4), ("U2", 4), ("U3", 9)])
