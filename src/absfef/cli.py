@@ -408,7 +408,11 @@ def bounds(ctx, d):
 @click.pass_context
 def reproduce(ctx):
     """Re-derive every published fixture value and report pass/fail."""
-    results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"])
+    try:
+        results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"],
+                               tol=ctx.obj["tol"])
+    except Exception as exc:  # noqa: BLE001
+        _fail(exc)
     if ctx.obj["json"]:
         doc = [{"name": r.name, "expected": r.expected, "computed": r.computed,
                 "delta": r.delta, "tolerance": r.tolerance, "passed": r.passed}

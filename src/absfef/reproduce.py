@@ -51,8 +51,13 @@ def _proj(ket):
     return np.outer(ket, np.conj(ket))
 
 
-def run_fixtures(restarts=None, seed=0):
-    """Run all fixtures; returns a list of :class:`FixtureResult`."""
+def run_fixtures(restarts=None, seed=0, tol=1e-8):
+    """Run all fixtures; returns a list of :class:`FixtureResult`.
+
+    ``restarts``, ``seed`` and ``tol`` go to every FEF optimization, which
+    raises :class:`DomainError` for an out-of-range value.
+    """
+    opts = {"restarts": restarts, "seed": seed, "tol": tol}
     out = []
     rho_x1 = states.x1()
     u1 = states.fixture_unitary("U1").matrix
@@ -142,28 +147,25 @@ def run_fixtures(restarts=None, seed=0):
 
     # --- FEF (optimizer) ---
     rho_x1p = validate_density(x1p, 2, 2)
-    out.append(_value("fef.x1", 0.5,
-                      fef(rho_x1, restarts=restarts, seed=seed).value, 1e-6))
-    out.append(_value("fef.u1_x1_u1dag", 2 / 3,
-                      fef(rho_x1p, restarts=restarts, seed=seed).value, 1e-6))
+    out.append(_value("fef.x1", 0.5, fef(rho_x1, **opts).value, 1e-6))
+    out.append(_value("fef.u1_x1_u1dag", 2 / 3, fef(rho_x1p, **opts).value, 1e-6))
     for q in np.round(np.arange(0.1, 0.91, 0.1), 10):
         rho = states.conjugate(states.x2(q), u2)
         out.append(_value(f"fef.u2_x2_u2dag.q{q}", 0.5 * (1 + abs(2 * q - 1)),
-                          fef(rho, restarts=restarts, seed=seed).value, 1e-6))
+                          fef(rho, **opts).value, 1e-6))
     # Independent closed form for Y3(q): with |U_10| = sqrt(1-c^2) the
     # objective is f(c) = q(2c+1)^2/9 + (1-q)(1-c^2)/3, maximized at
     # c* = 2q/(3-7q); for q = 0.2 this gives exactly 0.3 (< 1/3).
     q = 0.2
     c_star = 2 * q / (3 - 7 * q)
     y3_expected = q * (2 * c_star + 1) ** 2 / 9 + (1 - q) * (1 - c_star ** 2) / 3
-    y3_fef = fef(states.y3(q), restarts=restarts, seed=seed).value
+    y3_fef = fef(states.y3(q), **opts).value
     out.append(_value("fef.y3.q0.2", y3_expected, y3_fef, 1e-6))
     out.append(_bool("fef.y3.q0.2.below_threshold", True, y3_fef <= 1 / 3 + 1e-9))
     for d in (2, 3):
         spec = states.FamilySpec("max_entangled", {"d": d})
         out.append(_value(f"fef.max_entangled.d{d}", 1.0,
-                          fef(states.construct(spec), restarts=restarts,
-                              seed=seed).value, 1e-6))
+                          fef(states.construct(spec), **opts).value, 1e-6))
     out.append(_value("fef.closed_form.x1", 0.5,
                       fef_two_qubit_closed_form(rho_x1), 1e-12))
 
@@ -180,11 +182,10 @@ def run_fixtures(restarts=None, seed=0):
         above = absolute.is_absolute_fef(states.isotropic(d, flip + 1e-6)).absolute
         out.append(_bool(f"absolute.isotropic_flip.d{d}", True, below and not above))
     out.append(_bool("classify.x1.activatable", True,
-                     absolute.classify(rho_x1, restarts=restarts,
-                                       seed=seed).label == absolute.LABEL_ACTIVATABLE))
+                     absolute.classify(rho_x1, **opts).label == absolute.LABEL_ACTIVATABLE))
     out.append(_bool("classify.isotropic_0.9.useful", True,
-                     absolute.classify(states.isotropic(2, 0.9), restarts=restarts,
-                                       seed=seed).label == absolute.LABEL_USEFUL))
+                     absolute.classify(states.isotropic(2, 0.9),
+                                       **opts).label == absolute.LABEL_USEFUL))
 
     # --- purity bounds ---
     pb = absolute.purity_bounds(2)

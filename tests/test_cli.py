@@ -243,3 +243,11 @@ def test_reproduce_json_format(runner):
     assert isinstance(doc, list) and doc
     assert set(doc[0]) == {"name", "expected", "computed", "delta",
                            "tolerance", "passed"}
+
+
+@pytest.mark.parametrize("args", [["--restarts", "0"], ["--restarts", "20000"],
+                                  ["--tol", "-1"]])
+def test_reproduce_bad_optimizer_option_exit_3(runner, args):
+    res = runner.invoke(main, [*args, "reproduce"])
+    assert res.exit_code == 3
+    assert res.output.startswith("error: ")

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import (MAX_RESTARTS, canonical_ket, fef, fef_lower_bound,
-                        fef_two_qubit_closed_form)
+from absfef.fef import (_MAX_STEPS, MAX_RESTARTS, canonical_ket, fef,
+                        fef_lower_bound, fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
 
@@ -63,6 +63,39 @@ def test_fef_monotone_in_restarts_and_deterministic():
     v4b = fef(rho, restarts=4, seed=5).value
     assert v4 >= v1 - 1e-12
     assert v4 == v4b
+    # Restart i's start is the i-th slice of one default_rng(seed) draw, so
+    # adding restarts only adds starts and never lowers the maximum.  Rank-3
+    # states have local maxima at d = 3, so a start stream that changed with
+    # the restart count would lower the value for some k here.
+    for d in (2, 3):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(4):
+            rho = _as_state(ginibre_density(rng, d * d, 3), d)
+            for seed in (0, 7):
+                values = [fef(rho, restarts=k, seed=seed).value
+                          for k in range(1, 9)]
+                assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+                assert [fef(rho, restarts=k, seed=seed).value
+                        for k in range(1, 9)] == values
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 1.0])
+def test_fef_isotropic_exact(d, beta):
+    # rho - lambda_min I = beta |psi+><psi+| is rank one for beta > 0.
+    assert fef(states.isotropic(d, beta)).value == pytest.approx(
+        beta + (1 - beta) / d**2, abs=1e-12)
+
+
+def test_fef_iterations():
+    rng = np.random.default_rng(17)
+    for d in (2, 3):
+        for _ in range(5):
+            rho = _as_state(ginibre_density(rng, d * d), d)
+            assert 1 <= fef(rho, restarts=4, seed=0).iterations <= _MAX_STEPS
+    # The shift leaves a rank-one objective whose top eigenvector the
+    # identity start already reaches; the unshifted ascent takes 6 steps.
+    assert fef(states.isotropic(2, 0.9)).iterations <= 3
 
 
 def test_fef_result_evaluate_consistent():
@@ -124,6 +157,17 @@ def test_fef_local_unitary_invariance_d3():
         ub = haar_unitary(rng, 3)
         rot = states.conjugate(rho, np.kron(ua, ub))
         assert fef(rot, restarts=5, seed=2).value == pytest.approx(base, abs=1e-5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), rank=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_fef_local_unitary_invariance_property(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = _as_state(ginibre_density(rng, d * d, min(rank, d * d)), d)
+    rot = states.conjugate(rho, np.kron(haar_unitary(rng, d),
+                                        haar_unitary(rng, d)))
+    assert fef(rot).value == pytest.approx(fef(rho).value, abs=1e-7)
 
 
 def test_fef_domain_errors():
