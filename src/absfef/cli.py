@@ -175,6 +175,20 @@ def _fail(exc):
     sys.exit(_exit_for(exc))
 
 
+class _Command(click.Command):
+    """A subcommand that checks the group's --seed when it runs.
+
+    The group callback runs before the subcommand parses its own options, so
+    a check there would reject ``--seed -1 analyze --help``.
+    """
+
+    def invoke(self, ctx):
+        seed = ctx.obj["seed"]
+        if seed < 0:
+            _fail(DomainError(f"--seed must be >= 0, got {seed}"))
+        return super().invoke(ctx)
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for all stochastic subroutines.")
@@ -186,9 +200,10 @@ def _fail(exc):
 @click.pass_context
 def main(ctx, seed, restarts, tol, as_json):
     """Absolute fully entangled fraction toolkit."""
-    if seed < 0:
-        _fail(DomainError(f"--seed must be >= 0, got {seed}"))
     ctx.obj = {"seed": seed, "restarts": restarts, "tol": tol, "json": as_json}
+
+
+main.command_class = _Command
 
 
 def _build_report(rho, opts):

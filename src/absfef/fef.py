@@ -13,15 +13,26 @@ With v = (I (x) U)|psi+> = vec(U^T)/sqrt(d) (row-major |ij> order),
 f(U) = v^dag rho v.  The ascent works on the shifted matrix
 R = rho - lambda_min I instead: |v| = 1 on the orbit, so v^dag R v = f(U) -
 lambda_min differs from f by a constant and has the same maximizers.  R >= 0,
-so g(U) = v^dag R v is a convex quadratic in U.  Each step moves U to the
-polar factor W Vh of G = reshape(R v)^T = W S Vh, which maximizes the
-linearization Re Tr(G^dag U') (orthogonal Procrustes).  A convex g lies above
-its tangent plane and U itself is feasible, so no step lowers g, hence f.
-Removing lambda_min, the part of rho that every v sees equally, makes the
-steps converge faster; an isotropic state with beta > 0 becomes rank one.
+so g(U) = v^dag R v is a convex quadratic in U.  The ascent works on
+X = U^T, so v = vec(X)/sqrt(d).  The plain step moves X to the polar factor
+W Vh of G = reshape(R v) = W S Vh, which maximizes the linearization
+Re Tr(G^dag X') (orthogonal Procrustes); polar(G)^T = polar(G^T), so this is
+the step on U.  A convex g lies above its tangent plane and X itself is
+feasible, so no plain step lowers g, hence f.  Removing lambda_min, the part
+of rho that every v sees equally, makes the steps converge faster; an
+isotropic state with beta > 0 becomes rank one.
+
+The plain step converges linearly, slowly where the maximum is degenerate
+(Y3(q) near q = 1/3).  So each step linearizes at an extrapolated point
+instead: Nesterov momentum, with function-value adaptive restart
+(O'Donoghue and Candes, Found. Comput. Math. 15, 2015).  A momentum step
+that would lower g is rejected and the momentum reset, so the next step is
+a plain one and no accepted step lowers the objective.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,30 +64,76 @@ def fef_lower_bound(rho: DensityMatrix):
     return float(np.real(psi.conj() @ rho.matrix @ psi))
 
 
-def _ascend(rho_mat, u, eps):
-    """Ascend a (restarts, d, d) stack until no restart gains more than eps.
+@functools.lru_cache(maxsize=8)
+def _starts(d, restarts, seed):
+    """Read-only (restarts, d*d) stack of start rows vec(U_i^T).
 
-    Returns the final stack, the objective value of each restart and the
-    number of steps taken.
+    U_0 is the identity.  U_1 .. U_{restarts-1} are Haar unitaries: one
+    ``default_rng(seed)`` draw of shape (restarts - 1, 2, d, d) gives the real
+    and imaginary Ginibre parts, and one stacked QR with a diagonal phase fix
+    makes them Haar.  The generator fills the draw in C order, so U_i does not
+    depend on ``restarts``.
     """
-    n, d, _ = u.shape
-    shift = np.linalg.eigvalsh(rho_mat)[0]
-    r_mat = rho_mat - shift * np.eye(d * d)
+    g = np.random.default_rng(seed).normal(size=(restarts - 1, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    u = np.empty((restarts, d, d), dtype=complex)
+    u[0] = np.eye(d)
+    u[1:] = q * (phases / np.abs(phases))[:, None, :]
+    x = u.transpose(0, 2, 1).reshape(restarts, d * d)
+    x.flags.writeable = False
+    return x
 
-    def forward(u):
-        x = u.transpose(0, 2, 1).reshape(n, d * d)  # rows vec(U^T)
-        y = x @ r_mat.T  # rows R vec(U^T)
-        return y, (x.conj() * y).real.sum(axis=1) / d
 
-    y, values = forward(u)
+def _ascend(r_mat, x, eps):
+    """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
+
+    ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
+    Each restart steps to X' = polar(reshape(z)), where z = y + beta (y -
+    y_prev), y = R x and beta = k/(k+3) with k the restart's accepted steps
+    (Nesterov momentum).  A step that lowers the value is rejected and k is
+    reset to 0; a k = 0 step is the plain Procrustes step, which never lowers
+    the value, so it is always accepted.  A restart stops once its accepted
+    step gains no more than eps.  Returns the final rows, their values and
+    the step at which the last restart stopped.
+    """
+    n, dd = x.shape
+    d = math.isqrt(dd)
+    r_t = r_mat.T
+    y = x @ r_t
+    values = (x.conj() * y).real.sum(axis=1) / d
+    y_prev = y
+    k = np.zeros(n)
+    live = np.arange(n)
+    out_x = np.empty((n, dd), dtype=complex)
+    out_values = np.empty(n)
     for step in range(1, _MAX_STEPS + 1):
-        w, _, vh = np.linalg.svd(y.reshape(n, d, d).transpose(0, 2, 1))
-        u = w @ vh
-        y, new = forward(u)
-        gain, values = np.max(new - values), new
-        if gain <= eps:
-            break
-    return u, values + shift, step
+        z = y + (k / (k + 3))[:, None] * (y - y_prev)
+        w, _, vh = np.linalg.svd(z.reshape(-1, d, d))
+        x_new = (w @ vh).reshape(-1, dd)
+        y_new = x_new @ r_t
+        new = (x_new.conj() * y_new).real.sum(axis=1) / d
+        gain = new - values
+        accept = (gain >= 0) | (k == 0)
+        y_prev = y
+        if accept.all():
+            x, y, values = x_new, y_new, new
+        else:
+            x = np.where(accept[:, None], x_new, x)
+            y = np.where(accept[:, None], y_new, y)
+            values = np.where(accept, new, values)
+        k = np.where(accept, k + 1, 0)
+        done = (accept & (gain <= eps)) | (step == _MAX_STEPS)
+        if done.any():
+            out_x[live[done]] = x[done]
+            out_values[live[done]] = values[done]
+            keep = ~done
+            if not keep.any():
+                break
+            x, y, y_prev, values, k, live = (
+                x[keep], y[keep], y_prev[keep], values[keep], k[keep],
+                live[keep])
+    return out_x, out_values, step
 
 
 @dataclass(frozen=True)
@@ -87,7 +144,7 @@ class FefResult:
     optimizer_unitary: np.ndarray
     restarts_used: int
     converged: bool
-    #: Ascent steps taken by the restart stack, in [1, _MAX_STEPS].
+    #: Step at which the last restart stopped, in [1, _MAX_STEPS].
     iterations: int
 
     def evaluate(self, rho: DensityMatrix):
@@ -100,17 +157,19 @@ class FefResult:
 def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     """Multistart maximization of the FEF objective over U(d).
 
-    All restarts run as one stack through the shifted ascent of the module
-    docstring, which never lowers the objective, until no restart gains more
-    than ``tol * 1e-3`` in a step.  Restart 0 starts at the identity, so the
-    result is never below the canonical overlap.  Restarts 1 .. restarts-1
-    start at Haar unitaries: one ``default_rng(seed)`` draw of shape
-    (restarts - 1, 2, d, d) gives the real and imaginary Ginibre parts, and
-    one stacked QR with a diagonal phase fix makes them Haar.  The generator
-    fills the draw in C order, so restart i's start does not depend on
-    ``restarts``: the result is deterministic given ``seed`` and
-    nondecreasing in ``restarts``.  ``converged`` means the two best restarts
-    agree within 1e-6; ``iterations`` counts the ascent steps.
+    All restarts run as one stack through the accelerated ascent of the module
+    docstring on R = rho - lambda_min I; no accepted step lowers the
+    objective, and each restart leaves the stack once its own accepted step
+    gains no more than ``tol * 1e-3``.  Restart 0 starts at the identity, so
+    the result is never below the canonical overlap.  Restarts 1 ..
+    restarts-1 start at Haar unitaries drawn from ``default_rng(seed)``;
+    restart i's start does not depend on ``restarts``, so the result is
+    deterministic given ``seed`` (a nonnegative int) and nondecreasing in
+    ``restarts``.  The start stack is cached per (d, restarts, seed).  The
+    value is clipped to [canonical overlap, lambda_max], the bounds it obeys
+    in exact arithmetic; lambda_max wins if rounding puts the overlap above
+    it.  ``converged`` means the two best restarts agree within 1e-6;
+    ``iterations`` is the step at which the last restart stopped.
     """
     if not rho.is_square_bipartition:
         raise MatrixShapeError(
@@ -127,18 +186,24 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = index
 
-    g = np.random.default_rng(seed).normal(size=(restarts - 1, 2, d, d))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    phases = np.diagonal(r, axis1=1, axis2=2)
-    u = np.empty((restarts, d, d), dtype=complex)
-    u[0] = np.eye(d)
-    u[1:] = q * (phases / np.abs(phases))[:, None, :]
-    u, values, steps = _ascend(rho.matrix, u, tol * 1e-3)
+    spectrum = np.linalg.eigvalsh(rho.matrix)
+    r_mat = rho.matrix - spectrum[0] * np.eye(d * d)
+    x, values, steps = _ascend(r_mat, _starts(d, restarts, seed), tol * 1e-3)
     best = int(np.argmax(values))
     top = np.sort(values)[::-1]
     converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
-    return FefResult(value=float(values[best]), optimizer_unitary=u[best],
+    value = min(max(values[best] + spectrum[0], fef_lower_bound(rho)),
+                spectrum[-1])
+    return FefResult(value=float(value),
+                     optimizer_unitary=x[best].reshape(d, d).T,
                      restarts_used=restarts, converged=converged,
                      iterations=steps)
 

@@ -110,6 +110,10 @@ def test_analyze_domain_error_exit_3(runner):
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--family", "x1"])
     assert res.exit_code == 3
     assert "--seed must be >= 0, got -1" in res.output
+    # Help needs no valid seed: the seed is checked when a command runs.
+    res = runner.invoke(main, ["--seed", "-1", "analyze", "--help"])
+    assert res.exit_code == 0
+    assert "Usage:" in res.output
 
 
 def test_witness_activatable_state(runner):
