@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, MatrixShapeError
-from .fef import canonical_ket, fef
+from .fef import _maximize, canonical_ket
 from .linalg import DensityMatrix
 
 BOUNDARY_TOL = 1e-9
@@ -121,9 +121,10 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     _require_square(rho)
     d = rho.dim_a
     thr = 1 / d
-    spectrum = np.linalg.eigvalsh(rho.matrix)[::-1]
+    ascending = np.linalg.eigvalsh(rho.matrix)
+    spectrum = ascending[::-1]
     verdict = _membership(float(spectrum[0]), d)
-    result = fef(rho, restarts=restarts, seed=seed, tol=tol)
+    result = _maximize(rho, ascending, restarts, seed, tol)
     f_val = result.value
 
     if f_val > thr + BOUNDARY_TOL:

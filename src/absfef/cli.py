@@ -18,7 +18,7 @@ import numpy as np
 
 from . import absolute, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError, MatrixShapeError
-from .fef import fef_lower_bound
+from .fef import DEFAULT_RESTARTS, fef_lower_bound
 from .bloch import bloch_extract
 from .linalg import validate_density
 from .reproduce import run_fixtures
@@ -193,7 +193,8 @@ class _Command(click.Command):
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for all stochastic subroutines.")
 @click.option("--restarts", type=int, default=None,
-              help="FEF optimizer restarts (default 20 for d=2, 60 for d=3).")
+              help="FEF optimizer restarts (default " + ", ".join(
+                  f"{n} for d={d}" for d, n in DEFAULT_RESTARTS.items()) + ").")
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="FEF optimizer improvement tolerance.")
 @click.option("--json", "as_json", is_flag=True, help="Emit machine-readable JSON.")

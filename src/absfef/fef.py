@@ -28,6 +28,18 @@ instead: Nesterov momentum, with function-value adaptive restart
 (O'Donoghue and Candes, Found. Comput. Math. 15, 2015).  A momentum step
 that would lower g is rejected and the momentum reset, so the next step is
 a plain one and no accepted step lowers the objective.
+
+At d = 2 the landscape is benign, which sets the restart budget.  In the
+magic basis every maximally entangled two-qubit state is a phase times a
+real unit vector x in S^3, so f(U) = x^T Re(rho_M) x is a Rayleigh quotient
+on the sphere (Badziag, Horodecki, Horodecki and Horodecki, PRA 62, 012311
+(2000); see fef_two_qubit_closed_form).  A Rayleigh quotient has no local
+maximum that is not global: its other critical points are saddles or
+minima.  So any start that is not stationary ascends to the FEF, and a few
+restarts suffice.  The identity start can be stationary (for |01><01|,
+G = 0 at U = I and the value stays 0), and ``converged`` compares the two
+best restarts, so d = 2 keeps the identity plus three Haar starts.  d = 3
+has no such theorem and does have local maxima, so it keeps many restarts.
 """
 
 import functools
@@ -40,8 +52,11 @@ import numpy as np
 from .errors import DomainError, MatrixShapeError
 from .linalg import DensityMatrix
 
-#: Default restart counts per local dimension.
-DEFAULT_RESTARTS = {2: 20, 3: 60}
+#: Default restart counts per local dimension: the identity plus Haar starts.
+#: d = 2 has no spurious local maxima (module docstring), so three Haar
+#: starts back up a stationary identity and let ``converged`` compare two
+#: ascended restarts; d = 3 has local maxima and needs many more.
+DEFAULT_RESTARTS = {2: 4, 3: 60}
 #: Largest accepted restart count; all restarts are held in memory at once.
 MAX_RESTARTS = 10_000
 
@@ -171,6 +186,14 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     it.  ``converged`` means the two best restarts agree within 1e-6;
     ``iterations`` is the step at which the last restart stopped.
     """
+    return _maximize(rho, np.linalg.eigvalsh(rho.matrix), restarts, seed, tol)
+
+
+def _maximize(rho, spectrum, restarts, seed, tol):
+    """:func:`fef` given ``spectrum``, the ascending eigenvalues of ``rho``.
+
+    Callers that already hold the spectrum skip a second ``eigvalsh``.
+    """
     if not rho.is_square_bipartition:
         raise MatrixShapeError(
             f"FEF needs a square bipartition, got {rho.dim_a}x{rho.dim_b}")
@@ -194,7 +217,6 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     seed = index
 
-    spectrum = np.linalg.eigvalsh(rho.matrix)
     r_mat = rho.matrix - spectrum[0] * np.eye(d * d)
     x, values, steps = _ascend(r_mat, _starts(d, restarts, seed), tol * 1e-3)
     best = int(np.argmax(values))

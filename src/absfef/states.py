@@ -29,6 +29,18 @@ def _projector(ket):
     return np.outer(ket, ket.conj())
 
 
+def _max_entangled_state(d):
+    """|psi+><psi+| with its nonzero entries exactly 1/d, so its trace is 1.
+
+    The outer product of the ket has entries (1/sqrt(d))^2, which round away
+    from 1/d.
+    """
+    d = int(d)
+    m = _projector(max_entangled(d))
+    m[m != 0] = 1 / d
+    return validate_density(m, d, d)
+
+
 def x1():
     """The two-qubit mixture 2/9 phi+ + 1/9 |01> + 1/9 |10> + 5/9 |00>."""
     phi = max_entangled(2)
@@ -141,8 +153,7 @@ FAMILIES = {
     "ghz": Family(ghz),
     "w": Family(w),
     "af_not_as_example": Family(af_not_as_example),
-    "max_entangled": Family(
-        lambda d: validate_density(_projector(max_entangled(d)), d, d), ("d",)),
+    "max_entangled": Family(_max_entangled_state, ("d",)),
     "ghzw": Family(lambda p: ghzw_marginal(p).marginal, ("p",), "p"),
 }
 

@@ -44,9 +44,12 @@ def capped_spectrum(rng, n, cap, alpha=1.0):
         lam[free] += excess * share / share.sum()
 
 
-def absolute_state(rng, d):
-    """Random d (x) d density matrix with lambda_max <= 1/d."""
+def absolute_state(rng, d, alpha=1.0):
+    """Random d (x) d density matrix with lambda_max <= 1/d.
+
+    ``alpha`` is the Dirichlet parameter of :func:`capped_spectrum`.
+    """
     n = d * d
-    lam = capped_spectrum(rng, n, 1.0 / d)
+    lam = capped_spectrum(rng, n, 1.0 / d, alpha)
     u = haar_unitary(rng, n)
     return (u * lam) @ u.conj().T

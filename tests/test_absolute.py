@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from absfef import absolute, states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import canonical_ket
+from absfef.fef import canonical_ket, fef
 from absfef.linalg import validate_density
 from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
 
@@ -102,6 +102,19 @@ def test_classify_labels():
     rep = absolute.classify(states.x1())
     assert rep.k_copy_nonlocal is True
     assert rep.fef_value <= rep.threshold + 1e-9 < rep.lambda_max
+
+
+def test_classify_fef_matches_fef():
+    # classify reuses its spectrum for the ascent; the result must be fef's.
+    rng = np.random.default_rng(24)
+    for d in (2, 3):
+        rho = validate_density(ginibre_density(rng, d * d), d, d)
+        for restarts, seed in ((None, 0), (3, 5)):
+            rep = absolute.classify(rho, restarts=restarts, seed=seed)
+            res = fef(rho, restarts=restarts, seed=seed)
+            assert rep.fef_value == res.value
+            assert (rep.fef_restarts, rep.fef_converged) \
+                == (res.restarts_used, res.converged)
 
 
 def test_af_convexity():

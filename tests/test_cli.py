@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from absfef.cli import main
+from absfef.fef import DEFAULT_RESTARTS
 
 
 @pytest.fixture
@@ -114,6 +115,14 @@ def test_analyze_domain_error_exit_3(runner):
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--help"])
     assert res.exit_code == 0
     assert "Usage:" in res.output
+
+
+def test_restarts_help_names_the_defaults(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    text = " ".join(res.output.split())
+    for d, n in DEFAULT_RESTARTS.items():
+        assert f"{n} for d={d}" in text
 
 
 def test_witness_activatable_state(runner):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import (_MAX_STEPS, MAX_RESTARTS, canonical_ket, fef,
-                        fef_lower_bound, fef_two_qubit_closed_form)
+from absfef.fef import (_MAX_STEPS, MAX_RESTARTS, _ascend, _starts,
+                        canonical_ket, fef, fef_lower_bound,
+                        fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
 
@@ -125,9 +126,49 @@ def test_fef_matches_closed_form_oracle():
     worst = 0.0
     for m in full + low + stationary:
         rho = _as_state(m, 2)
-        worst = max(worst, abs(fef(rho, restarts=4, seed=1).value
-                               - fef_two_qubit_closed_form(rho)))
+        worst = max(worst, abs(fef(rho).value - fef_two_qubit_closed_form(rho)))
     assert worst < 1e-10
+
+
+# One point of each two-qubit family.
+_D2_FAMILIES = [
+    states.FamilySpec("x1", {}),
+    states.FamilySpec("x2", {"q": 0.3}),
+    states.FamilySpec("isotropic", {"d": 2, "beta": 0.5}),
+    states.FamilySpec("comp_diag", {"weights": [0.4, 0.3, 0.2, 0.1]}),
+    states.FamilySpec("bell_diag", {"t11": 0.1, "t22": -0.05, "t33": 0.15}),
+    states.FamilySpec("af_not_as_example", {}),
+    states.FamilySpec("max_entangled", {"d": 2}),
+    states.FamilySpec("ghzw", {"p": 0.3}),
+]
+
+
+def test_fef_d2_every_haar_restart_reaches_closed_form():
+    # In the magic basis the d = 2 objective is a Rayleigh quotient on S^3,
+    # which has no local maximum that is not global, so every Haar start
+    # (none is stationary) ascends to the FEF on its own.  This is what lets
+    # DEFAULT_RESTARTS[2] stay small.
+    rng = np.random.default_rng(40)
+    rhos = [_as_state(ginibre_density(rng, 4, rank), 2)
+            for rank in (1, 2, 3, 4) for _ in range(50)]
+    rhos += [states.construct(spec) for spec in _D2_FAMILIES]
+    starts = _starts(2, 20, 0)
+    for rho in rhos:
+        lam_min = np.linalg.eigvalsh(rho.matrix)[0]
+        _, values, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts, 1e-11)
+        assert np.all(np.abs(values[1:] + lam_min
+                             - fef_two_qubit_closed_form(rho)) < 1e-6)
+
+
+def test_fef_d2_default_restarts_cover_stationary_identity():
+    # rho |psi+> = 0, so the identity start is stationary at value 0; the
+    # Haar starts reach the FEF 1/2 and agree.
+    ket01 = np.array([0, 1, 0, 0])
+    rho = _as_state(np.outer(ket01, ket01), 2)
+    res = fef(rho)
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert res.converged
+    assert fef(rho, restarts=1).value == 0.0
 
 
 @settings(max_examples=25, deadline=None)

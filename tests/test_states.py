@@ -5,6 +5,7 @@ import pytest
 
 from absfef import states
 from absfef.errors import DomainError
+from absfef.fef import fef
 from absfef.linalg import DensityMatrix, partial_trace
 from absfef.tripartite import ghzw_marginal
 
@@ -99,6 +100,21 @@ def test_family_spec_and_construct():
     assert maxent.purity() == pytest.approx(1.0, abs=1e-12)
     rho = states.construct(states.FamilySpec("ghzw", {"p": 0.3}))
     assert np.array_equal(rho.matrix, ghzw_marginal(0.3).marginal.matrix)
+
+
+def test_max_entangled_family_is_exact():
+    # Entries exactly 1/d, not (1/sqrt(d))^2, so the trace is exactly 1 and
+    # the d = 2 FEF, lambda_max and purity print as 1.
+    for d in (2, 3):
+        rho = states.construct(states.FamilySpec("max_entangled", {"d": d}))
+        assert np.trace(rho.matrix) == 1.0
+        psi = states.max_entangled(d)
+        assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-15
+    rho = states.construct(states.FamilySpec("max_entangled", {"d": 2}))
+    assert fef(rho).value == 1.0
+    assert rho.purity() == 1.0
+    with pytest.raises(DomainError):
+        states.construct(states.FamilySpec("max_entangled", {"d": 1}))
 
 
 _SAMPLE_PARAMS = {"q": 0.5, "d": 3, "beta": 0.2, "p": 0.3,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absfef import absolute, states, witness
 from absfef.errors import DomainError, MatrixShapeError
@@ -58,17 +60,16 @@ def test_evaluate_shape_mismatch():
         witness.evaluate(s, states.y3(0.5))
 
 
-def test_witness_nonnegative_on_absolute_states():
-    rng = np.random.default_rng(30)
-    for d in (2, 3):
-        w = witness.teleportation_witness(d)
-        n = d * d
-        worst = np.inf
-        for _ in range(200):
-            s = witness.pullback(w, haar_unitary(rng, n))
-            sigma = validate_density(absolute_state(rng, d), d, d)
-            worst = min(worst, witness.evaluate(s, sigma))
-        assert worst >= -1e-9
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.05, 20.0))
+def test_witness_nonnegative_on_absolute_states(d, seed, alpha):
+    # Tr(U^dag W U sigma) = 1/d - <psi+|U sigma U^dag|psi+> >= 1/d - lambda_max.
+    rng = np.random.default_rng(seed)
+    s = witness.pullback(witness.teleportation_witness(d),
+                         haar_unitary(rng, d * d))
+    sigma = validate_density(absolute_state(rng, d, alpha), d, d)
+    assert witness.evaluate(s, sigma) >= -1e-12
 
 
 def test_negative_detection_implies_activatable():
