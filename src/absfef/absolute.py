@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, MatrixShapeError
-from .fef import _maximize, canonical_ket
+from .fef import canonical_ket, fef
 from .linalg import DensityMatrix
 
 BOUNDARY_TOL = 1e-9
@@ -54,7 +54,7 @@ def is_absolute_fef(rho: DensityMatrix, tol=BOUNDARY_TOL):
 def max_global_fef(rho: DensityMatrix):
     """Supremum of the FEF over all global unitaries: lambda_max(rho)."""
     _require_square(rho)
-    return float(np.linalg.eigvalsh(rho.matrix)[-1])
+    return rho.spectrum.lambda_max
 
 
 def activating_unitary(rho: DensityMatrix):
@@ -67,7 +67,7 @@ def activating_unitary(rho: DensityMatrix):
     """
     _require_square(rho)
     psi = canonical_ket(rho.dim_a)
-    v = np.linalg.eigh(rho.matrix)[1][:, -1]
+    v = rho.spectrum.eigenvectors[:, 0]
     w = v + np.exp(1j * np.angle(np.vdot(psi, v))) * psi
     return np.eye(v.size) - (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
 
@@ -94,14 +94,12 @@ def is_absolutely_separable_2q(spectrum):
 class ClassificationReport:
     """Three-way teleportation-usefulness verdict for a state.
 
-    ``spectrum`` holds the eigenvalues in descending order.
     ``k_copy_nonlocal`` is None for ABSOLUTE states: the spectral criterion
     gives no conclusion there, and the report must not claim locality.
     """
 
     label: str
     lambda_max: float
-    spectrum: np.ndarray
     fef_value: float
     threshold: float
     boundary: bool
@@ -121,10 +119,8 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     _require_square(rho)
     d = rho.dim_a
     thr = 1 / d
-    ascending = np.linalg.eigvalsh(rho.matrix)
-    spectrum = ascending[::-1]
-    verdict = _membership(float(spectrum[0]), d)
-    result = _maximize(rho, ascending, restarts, seed, tol)
+    result = fef(rho, restarts=restarts, seed=seed, tol=tol)
+    verdict = _membership(rho.spectrum.lambda_max, d)
     f_val = result.value
 
     if f_val > thr + BOUNDARY_TOL:
@@ -135,8 +131,8 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
         # activation exists; the activated state has FEF > 1/d, hence k-copy
         label, boundary = LABEL_ACTIVATABLE, abs(f_val - thr) <= BOUNDARY_TOL
     return ClassificationReport(
-        label=label, lambda_max=verdict.lambda_max, spectrum=spectrum,
-        fef_value=f_val, threshold=thr, boundary=boundary,
+        label=label, lambda_max=verdict.lambda_max, fef_value=f_val,
+        threshold=thr, boundary=boundary,
         k_copy_nonlocal=None if label == LABEL_ABSOLUTE else True,
         teleportation_useful=label == LABEL_USEFUL, fef_converged=result.converged,
         fef_restarts=result.restarts_used)

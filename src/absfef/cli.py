@@ -18,7 +18,7 @@ import numpy as np
 
 from . import absolute, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError, MatrixShapeError
-from .fef import DEFAULT_RESTARTS, fef_lower_bound
+from .fef import DEFAULT_RESTARTS, fef_lower_bound, require_supported_dim
 from .bloch import bloch_extract
 from .linalg import validate_density
 from .reproduce import run_fixtures
@@ -154,8 +154,12 @@ def _resolve_state(family, input_path, q, d, beta, p, weights, t11, t22, t33):
     if t11 is not None or t22 is not None or t33 is not None:
         for name, val in (("t11", t11), ("t22", t22), ("t33", t33)):
             params[name] = _num(val) if val is not None else 0.0
+    spec = states.FamilySpec(family, params)
+    if "d" in params and "d" in states.FAMILIES[family].params:
+        # Refuse a d that fef cannot analyze before building a d^2 x d^2 state.
+        require_supported_dim(params["d"])
     try:
-        return states.construct(states.FamilySpec(family, params))
+        return states.construct(spec)
     except KeyError as exc:
         raise DomainError(f"family {family!r} is missing parameter {exc}") from exc
 
@@ -176,17 +180,24 @@ def _fail(exc):
 
 
 class _Command(click.Command):
-    """A subcommand that checks the group's --seed when it runs.
+    """A subcommand that checks the group's --seed when it runs and maps every
+    error it raises to ``error: ...`` and an exit code.
 
     The group callback runs before the subcommand parses its own options, so
-    a check there would reject ``--seed -1 analyze --help``.
+    a check there would reject ``--seed -1 analyze --help``.  Click's own
+    exceptions and ``sys.exit`` pass through.
     """
 
     def invoke(self, ctx):
         seed = ctx.obj["seed"]
         if seed < 0:
             _fail(DomainError(f"--seed must be >= 0, got {seed}"))
-        return super().invoke(ctx)
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # noqa: BLE001 - mapped to exit codes
+            _fail(exc)
 
 
 @click.group()
@@ -210,7 +221,7 @@ main.command_class = _Command
 def _build_report(rho, opts):
     report = absolute.classify(rho, restarts=opts["restarts"],
                                seed=opts["seed"], tol=opts["tol"])
-    spectrum = report.spectrum
+    spectrum = rho.spectrum.eigenvalues
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
         "threshold": report.threshold,
@@ -262,12 +273,8 @@ def _print_report(doc, as_json):
 @click.pass_context
 def analyze(ctx, **kwargs):
     """Full spectral / FEF / classification report for one state."""
-    try:
-        rho = _resolve_state(**kwargs)
-        doc = _build_report(rho, ctx.obj)
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        _fail(exc)
-    _print_report(doc, ctx.obj["json"])
+    rho = _resolve_state(**kwargs)
+    _print_report(_build_report(rho, ctx.obj), ctx.obj["json"])
 
 
 @main.command("witness")
@@ -278,32 +285,27 @@ def analyze(ctx, **kwargs):
 @click.pass_context
 def witness_cmd(ctx, unitary_path, **kwargs):
     """Emit a pullback witness S = U^dag W U detecting the given state."""
-    try:
-        rho = _resolve_state(**kwargs)
-        if not rho.is_square_bipartition:
-            raise DomainError(f"witness needs a square bipartition, "
-                              f"got {rho.dim_a}x{rho.dim_b}")
-        d = rho.dim_a
-        w = witness_mod.teleportation_witness(d)
-        if unitary_path is not None:
-            _, u = _load_matrix_file(unitary_path,
-                                     "unitary file needs a 'matrix' field")
-        else:
-            verdict = absolute.is_absolute_fef(rho)
-            if verdict.absolute:
-                click.echo("no detecting witness exists: state is in the "
-                           "absolute-FEF set (lambda_max "
-                           f"{_fmt(verdict.lambda_max)} <= 1/{d})", err=True)
-                sys.exit(EXIT_NO_WITNESS)
-            u = absolute.activating_unitary(rho)
-        s = witness_mod.pullback(w, u)
-        expectation = witness_mod.evaluate(s, rho)
-        kind = "pauli" if d == 2 else "gellmann"
-        dec = witness_mod.decompose(s.matrix, kind)
-    except SystemExit:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    rho = _resolve_state(**kwargs)
+    if not rho.is_square_bipartition:
+        raise DomainError(f"witness needs a square bipartition, "
+                          f"got {rho.dim_a}x{rho.dim_b}")
+    d = rho.dim_a
+    w = witness_mod.teleportation_witness(d)
+    if unitary_path is not None:
+        _, u = _load_matrix_file(unitary_path,
+                                 "unitary file needs a 'matrix' field")
+    else:
+        verdict = absolute.is_absolute_fef(rho)
+        if verdict.absolute:
+            click.echo("no detecting witness exists: state is in the "
+                       "absolute-FEF set (lambda_max "
+                       f"{_fmt(verdict.lambda_max)} <= 1/{d})", err=True)
+            sys.exit(EXIT_NO_WITNESS)
+        u = absolute.activating_unitary(rho)
+    s = witness_mod.pullback(w, u)
+    expectation = witness_mod.evaluate(s, rho)
+    kind = "pauli" if d == 2 else "gellmann"
+    dec = witness_mod.decompose(s.matrix, kind)
     doc = {
         "d": d,
         "witness_matrix": _matrix_to_json(s.matrix),
@@ -339,54 +341,50 @@ _SWEEPS = {name: f.sweep for name, f in states.FAMILIES.items() if f.sweep}
 @click.pass_context
 def scan(ctx, family, param, range_spec, d, output):
     """Sweep one family parameter; emit a CSV of spectra, FEF and labels."""
-    try:
-        expected = _SWEEPS[family]
-        if param is not None and param != expected:
-            raise DomainError(f"family {family} sweeps {expected!r}, not {param!r}")
-        parts = range_spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"range must be start:stop:step, got {range_spec!r}")
-        start, stop, step = (_num(v) for v in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise DomainError(f"range bounds and step must be finite, got {range_spec!r}")
-        if step <= 0:
-            raise DomainError("range step must be positive")
-        if (stop - start) / step + 1 > MAX_SCAN_POINTS:
-            raise DomainError(f"range {range_spec!r} has more than "
-                              f"{MAX_SCAN_POINTS} points")
-        params = {}
-        if d is not None and "d" in states.FAMILIES[family].params:
-            params["d"] = int(d)
-        grid = []
-        v = start
-        while v <= stop + 1e-12:
-            grid.append(v)
-            v = start + len(grid) * step
-        rows = []
-        for v in grid:
-            rho = states.construct(states.FamilySpec(family, {**params, expected: v}))
-            report = absolute.classify(rho, restarts=ctx.obj["restarts"],
-                                       seed=ctx.obj["seed"], tol=ctx.obj["tol"])
-            rows.append((v, report.lambda_max, fef_lower_bound(rho),
-                         report.fef_value, report.label, report.boundary))
-        lines = ["param,lambda_max,fef_lower_bound,fef,label,boundary"]
-        for v, lam, lb, f_val, label, boundary in rows:
-            lines.append(f"{_fmt(v)},{_fmt(lam)},{_fmt(lb)},{_fmt(f_val)},"
-                         f"{label},{str(boundary).lower()}")
-        text = "\n".join(lines) + "\n"
-        if output == "-":
-            click.echo(text, nl=False)
-        else:
-            try:
-                with open(output, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                click.echo(f"error: cannot write {output}: {exc}", err=True)
-                sys.exit(EXIT_IO_ERROR)
-    except SystemExit:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    expected = _SWEEPS[family]
+    if param is not None and param != expected:
+        raise DomainError(f"family {family} sweeps {expected!r}, not {param!r}")
+    parts = range_spec.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"range must be start:stop:step, got {range_spec!r}")
+    start, stop, step = (_num(v) for v in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(f"range bounds and step must be finite, got {range_spec!r}")
+    if step <= 0:
+        raise DomainError("range step must be positive")
+    if (stop - start) / step + 1 > MAX_SCAN_POINTS:
+        raise DomainError(f"range {range_spec!r} has more than "
+                          f"{MAX_SCAN_POINTS} points")
+    params = {}
+    if d is not None and "d" in states.FAMILIES[family].params:
+        params["d"] = int(d)
+        require_supported_dim(params["d"])
+    grid = []
+    v = start
+    while v <= stop + 1e-12:
+        grid.append(v)
+        v = start + len(grid) * step
+    rows = []
+    for v in grid:
+        rho = states.construct(states.FamilySpec(family, {**params, expected: v}))
+        report = absolute.classify(rho, restarts=ctx.obj["restarts"],
+                                   seed=ctx.obj["seed"], tol=ctx.obj["tol"])
+        rows.append((v, report.lambda_max, fef_lower_bound(rho),
+                     report.fef_value, report.label, report.boundary))
+    lines = ["param,lambda_max,fef_lower_bound,fef,label,boundary"]
+    for v, lam, lb, f_val, label, boundary in rows:
+        lines.append(f"{_fmt(v)},{_fmt(lam)},{_fmt(lb)},{_fmt(f_val)},"
+                     f"{label},{str(boundary).lower()}")
+    text = "\n".join(lines) + "\n"
+    if output == "-":
+        click.echo(text, nl=False)
+    else:
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"error: cannot write {output}: {exc}", err=True)
+            sys.exit(EXIT_IO_ERROR)
 
 
 @main.command()
@@ -394,10 +392,7 @@ def scan(ctx, family, param, range_spec, d, output):
 @click.pass_context
 def bounds(ctx, d):
     """Purity thresholds bracketing the absolute-FEF set."""
-    try:
-        pb = absolute.purity_bounds(d)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    pb = absolute.purity_bounds(d)
     doc = {
         "d": pb.d,
         "max_purity_absolute": pb.max_purity_absolute,
@@ -424,11 +419,8 @@ def bounds(ctx, d):
 @click.pass_context
 def reproduce(ctx):
     """Re-derive every published fixture value and report pass/fail."""
-    try:
-        results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"],
-                               tol=ctx.obj["tol"])
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"],
+                           tol=ctx.obj["tol"])
     if ctx.obj["json"]:
         doc = [{"name": r.name, "expected": r.expected, "computed": r.computed,
                 "delta": r.delta, "tolerance": r.tolerance, "passed": r.passed}

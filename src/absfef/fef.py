@@ -64,6 +64,12 @@ MAX_RESTARTS = 10_000
 _MAX_STEPS = 10_000
 
 
+def require_supported_dim(d):
+    """Raise :class:`DomainError` unless :func:`fef` accepts local dimension d."""
+    if d not in DEFAULT_RESTARTS:
+        raise DomainError(f"unsupported local dimension {d}; expected 2 or 3")
+
+
 def canonical_ket(d):
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
@@ -71,12 +77,16 @@ def canonical_ket(d):
 
 
 def fef_lower_bound(rho: DensityMatrix):
-    """Canonical overlap <psi+| rho |psi+> (the U = I value of the maximand)."""
+    """Canonical overlap <psi+| rho |psi+> (the U = I value of the maximand).
+
+    Computed as (1/d) sum_ij rho[ii, jj] by index, not through the rounded
+    entries 1/sqrt(d) of :func:`canonical_ket`, so |psi+><psi+| gives 1.
+    """
     if not rho.is_square_bipartition:
         raise MatrixShapeError(
             f"FEF needs a square bipartition, got {rho.dim_a}x{rho.dim_b}")
-    psi = canonical_ket(rho.dim_a)
-    return float(np.real(psi.conj() @ rho.matrix @ psi))
+    d = rho.dim_a
+    return float(np.real(rho.matrix[:: d + 1, :: d + 1].sum())) / d
 
 
 @functools.lru_cache(maxsize=8)
@@ -186,20 +196,9 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     it.  ``converged`` means the two best restarts agree within 1e-6;
     ``iterations`` is the step at which the last restart stopped.
     """
-    return _maximize(rho, np.linalg.eigvalsh(rho.matrix), restarts, seed, tol)
-
-
-def _maximize(rho, spectrum, restarts, seed, tol):
-    """:func:`fef` given ``spectrum``, the ascending eigenvalues of ``rho``.
-
-    Callers that already hold the spectrum skip a second ``eigvalsh``.
-    """
-    if not rho.is_square_bipartition:
-        raise MatrixShapeError(
-            f"FEF needs a square bipartition, got {rho.dim_a}x{rho.dim_b}")
+    lower = fef_lower_bound(rho)  # raises unless the bipartition is square
     d = rho.dim_a
-    if d not in DEFAULT_RESTARTS:
-        raise DomainError(f"unsupported local dimension {d}; expected 2 or 3")
+    require_supported_dim(d)
     if restarts is None:
         restarts = DEFAULT_RESTARTS[d]
     restarts = int(restarts)
@@ -217,13 +216,14 @@ def _maximize(rho, spectrum, restarts, seed, tol):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     seed = index
 
-    r_mat = rho.matrix - spectrum[0] * np.eye(d * d)
+    eigenvalues = rho.spectrum.eigenvalues
+    lam_max, lam_min = eigenvalues[0], eigenvalues[-1]
+    r_mat = rho.matrix - lam_min * np.eye(d * d)
     x, values, steps = _ascend(r_mat, _starts(d, restarts, seed), tol * 1e-3)
     best = int(np.argmax(values))
     top = np.sort(values)[::-1]
     converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
-    value = min(max(values[best] + spectrum[0], fef_lower_bound(rho)),
-                spectrum[-1])
+    value = min(max(values[best] + lam_min, lower), lam_max)
     return FefResult(value=float(value),
                      optimizer_unitary=x[best].reshape(d, d).T,
                      restarts_used=restarts, converged=converged,

@@ -7,6 +7,7 @@ correctly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +66,8 @@ def eig_hermitian(h, tol=HERMITICITY_TOL):
     if asym > tol:
         raise DensityValidationError("hermiticity", asym,
                                      f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return Spectrum(eigenvalues=vals[order].copy(), eigenvectors=vecs[:, order].copy())
+    vals, vecs = np.linalg.eigh(h)  # ascending
+    return Spectrum(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
 
 def partial_trace(m, dims, drop):
@@ -123,6 +123,14 @@ class DensityMatrix:
     def is_square_bipartition(self):
         return self.dim_a == self.dim_b
 
+    @cached_property
+    def spectrum(self):
+        """Descending :class:`Spectrum` of ``matrix``, computed once (read-only)."""
+        spec = eig_hermitian(self.matrix)
+        spec.eigenvalues.setflags(write=False)
+        spec.eigenvectors.setflags(write=False)
+        return spec
+
     def purity(self):
         """Tr(rho^2)."""
         return float(np.real(np.sum(self.matrix * self.matrix.T)))
@@ -133,7 +141,8 @@ def validate_density(m, dim_a, dim_b, tol=None):
 
     Raises :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
-    trace or positivity fails beyond ``tol``.
+    trace or positivity fails beyond ``tol``.  The state keeps the Hermitian
+    part (M + M^dag)/2, and the positivity check computes its ``spectrum``.
     """
     m = np.asarray(m, dtype=complex)
     if tol is None:
@@ -154,9 +163,10 @@ def validate_density(m, dim_a, dim_b, tol=None):
     trace_err = abs(complex(np.trace(m)) - 1.0)
     if trace_err > tol:
         raise DensityValidationError("trace", trace_err)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    h = 0.5 * (m + m.conj().T)
+    h.setflags(write=False)
+    rho = DensityMatrix(matrix=h, dim_a=dim_a, dim_b=dim_b)
+    lam_min = float(rho.spectrum.eigenvalues[-1])
     if lam_min < -tol:
         raise DensityValidationError("positivity", -lam_min)
-    m = m.copy()
-    m.setflags(write=False)
-    return DensityMatrix(matrix=m, dim_a=dim_a, dim_b=dim_b)
+    return rho

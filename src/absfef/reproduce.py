@@ -100,16 +100,15 @@ def run_fixtures(restarts=None, seed=0, tol=1e-8):
     # --- spectra ---
     ghzw_quarter = tripartite.ghzw_marginal(0.25)
     out.append(_maxdiff("eig.ghzw_marginal.p0.25",
-                        np.sort(np.linalg.eigvalsh(ghzw_quarter.marginal.matrix))[::-1],
+                        ghzw_quarter.marginal.spectrum.eigenvalues,
                         [0.5, 0.375, 0.125, 0.0], 1e-12))
     out.append(_bool("tripartite.ghzw.boundary_p0.25",
                      True, ghzw_quarter.absolute and ghzw_quarter.boundary))
     out.append(_bool("tripartite.ghzw.not_absolute_below",
                      False, tripartite.ghzw_marginal(0.25 - 1e-6).absolute))
 
-    iso_eigs = np.linalg.eigvalsh(states.isotropic(3, 0.4).matrix)
-    out.append(_value("eig.isotropic.d3.lambda_max",
-                      (0.4 * 8 + 1) / 9, iso_eigs[-1], 1e-12))
+    out.append(_value("eig.isotropic.d3.lambda_max", (0.4 * 8 + 1) / 9,
+                      states.isotropic(3, 0.4).spectrum.lambda_max, 1e-12))
 
     # --- witness traces (exact fixtures) ---
     out.append(_value("witness.tr_s1_x1", -1 / 6,
@@ -207,7 +206,7 @@ def run_fixtures(restarts=None, seed=0, tol=1e-8):
     rep2 = tripartite.acin_marginal(ghz_params, 2)
     out.append(_value("tripartite.acin_ghz.s2", 0.0, rep2.s_value, 1e-12))
     out.append(_maxdiff("tripartite.acin_ghz.drop2_eigs",
-                        np.sort(np.linalg.eigvalsh(rep2.marginal.matrix))[::-1],
+                        rep2.marginal.spectrum.eigenvalues,
                         [0.5, 0.5, 0.0, 0.0], 1e-12))
 
     worst = 0.0
@@ -217,8 +216,7 @@ def run_fixtures(restarts=None, seed=0, tol=1e-8):
                 continue
             rep = tripartite.three_qutrit_marginal(alpha, beta)
             spec_dev = float(np.max(np.abs(
-                np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
-                - rep.eigenvalues)))
+                rep.marginal.spectrum.eigenvalues - rep.eigenvalues)))
             worst = max(worst, spec_dev)
             if not rep.absolute:
                 worst = max(worst, 1.0)

@@ -183,3 +183,23 @@ def test_purity_sandwich_random():
     above = purities > 0.5 + 1e-12
     assert np.all(lam_max[below] <= 0.5 + 1e-12)
     assert np.all(lam_max[above] > 0.5)
+
+
+def test_one_eigendecomposition_per_state(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(21)
+    rho = validate_density(ginibre_density(rng, 4), 2, 2)
+    absolute.classify(rho)
+    fef(rho)
+    absolute.max_global_fef(rho)
+    absolute.is_absolute_fef(rho)
+    absolute.activating_unitary(rho)
+    assert len(calls) == 1

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from absfef import states
 from absfef.cli import main
 from absfef.fef import DEFAULT_RESTARTS
+from helpers import ginibre_density
 
 
 @pytest.fixture
@@ -100,7 +104,7 @@ def test_analyze_missing_file_exit_5(runner, tmp_path):
     assert res.exit_code == 5
 
 
-def test_analyze_domain_error_exit_3(runner):
+def test_analyze_domain_error_exit_3(runner, monkeypatch):
     res = runner.invoke(main, ["analyze", "--family", "x2", "--q", "1.5"])
     assert res.exit_code == 3
     res = runner.invoke(main, ["analyze", "--family", "nonesuch"])
@@ -115,6 +119,21 @@ def test_analyze_domain_error_exit_3(runner):
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--help"])
     assert res.exit_code == 0
     assert "Usage:" in res.output
+    # A local dimension fef cannot analyze is refused before the d^2 x d^2
+    # state is built.
+    def never(*args):
+        pytest.fail(f"isotropic state built with {args}")
+
+    monkeypatch.setitem(states.FAMILIES, "isotropic",
+                        states.Family(never, ("d", "beta"), "beta"))
+    for args in (["analyze", "--family", "isotropic", "--d", "100", "--beta", "0.5"],
+                 ["witness", "--family", "isotropic", "--d", "100", "--beta", "0.5"],
+                 ["scan", "--family", "isotropic", "--d", "100", "--range", "0:1:0.5"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, args
+        assert res.stdout == ""
+        assert res.stderr == ("error: unsupported local dimension 100; "
+                              "expected 2 or 3\n")
 
 
 def test_restarts_help_names_the_defaults(runner):
@@ -264,3 +283,92 @@ def test_reproduce_bad_optimizer_option_exit_3(runner, args):
     res = runner.invoke(main, [*args, "reproduce"])
     assert res.exit_code == 3
     assert res.output.startswith("error: ")
+
+
+def test_unexpected_error_maps_to_exit_3(runner, monkeypatch):
+    def broken(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("absfef.absolute.purity_bounds", broken)
+    res = runner.invoke(main, ["bounds", "--d", "2"])
+    assert res.exit_code == 3
+    assert res.stderr == "error: boom\n"
+    # click's own usage errors keep their exit code and message
+    res = runner.invoke(main, ["bounds"])
+    assert res.exit_code == 2
+    assert "Missing option '--d'" in res.stderr
+
+
+_FUZZ_NUMBERS = ("nan", "inf", "-inf", "1/0", "-1", "-0.5", "0", "1/4", "0.3",
+                 "1", "2", "abc")
+_FUZZ_DIMS = ("-1", "0", "1", "2", "3", "4", "5", "100")
+_CORRUPTIONS = ("none", "nonhermitian", "trace", "nan", "inf", "negative",
+                "ragged", "nonpair", "dims", "truncate", "nodims")
+
+
+def _fuzz_state_text(seed, n, dims, corruption, cut):
+    """JSON text of an n x n random state with one defect applied."""
+    rng = np.random.default_rng(seed)
+    m = ginibre_density(rng, n)
+    if corruption == "nonhermitian":
+        m[0, -1] += 0.25
+    elif corruption == "trace":
+        m = 1.5 * m
+    elif corruption == "nan":
+        m[-1, 0] = np.nan
+    elif corruption == "inf":
+        m[0, 0] = np.inf
+    elif corruption == "negative":
+        m = np.diag(np.r_[1.5, -0.5, np.zeros(n - 2)]).astype(complex)
+    rows = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    if corruption == "ragged":
+        rows[0] = rows[0][:-1]
+    elif corruption == "nonpair":
+        rows[-1][0] = [1.0, 0.0, 0.0] if seed % 2 else "x"
+    doc = {"dims": list(dims), "matrix": rows}
+    if corruption == "dims":
+        doc["dims"] = [n, "a"] if seed % 2 else n
+    elif corruption == "nodims":
+        del doc["dims"]
+    text = json.dumps(doc)
+    if corruption == "truncate":
+        text = text[: cut % len(text)]
+    return text
+
+
+_states = st.builds(_fuzz_state_text, st.integers(0, 2**16),
+                    st.sampled_from([2, 4, 9]),
+                    st.sampled_from([(2, 2), (3, 3), (2, 4), (1, 4), (4, 4)]),
+                    st.sampled_from(_CORRUPTIONS), st.integers(0, 2**16))
+_family_args = st.tuples(
+    st.sampled_from([*states.FAMILIES, "nonesuch"]),
+    st.dictionaries(st.sampled_from(["--q", "--beta", "--p", "--t11", "--t33"]),
+                    st.sampled_from(_FUZZ_NUMBERS), max_size=3),
+    st.one_of(st.none(), st.sampled_from(_FUZZ_DIMS)),
+    st.one_of(st.none(), st.lists(st.sampled_from(_FUZZ_NUMBERS),
+                                  min_size=1, max_size=5).map(",".join)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from([["analyze"], ["--json", "analyze"], ["witness"]]),
+       source=st.one_of(_states, _family_args))
+def test_cli_fuzz_exits_cleanly(command, source):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        if isinstance(source, str):
+            with open("state.json", "w") as fh:
+                fh.write(source)
+            args = [*command, "--input", "state.json"]
+        else:
+            family, options, d, weights = source
+            args = [*command, "--family", family]
+            for name, value in options.items():
+                args += [name, value]
+            if d is not None:
+                args += ["--d", d]
+            if weights is not None:
+                args += ["--weights", weights]
+        res = runner.invoke(main, args)
+    assert res.exit_code in (0, 2, 3, 4, 5), (args, res.output, res.exception)
+    assert "Traceback" not in res.output

@@ -23,11 +23,14 @@ def test_canonical_ket():
 
 
 def test_lower_bound_matches_overlap():
+    # The index sum (1/d) sum_ij rho[ii, jj] is <psi+| rho |psi+>.
     rng = np.random.default_rng(10)
-    rho = _as_state(ginibre_density(rng, 4), 2)
-    psi = canonical_ket(2)
-    assert fef_lower_bound(rho) == pytest.approx(
-        np.real(psi.conj() @ rho.matrix @ psi), abs=1e-14)
+    for d in (2, 3):
+        psi = canonical_ket(d)
+        for _ in range(20):
+            rho = _as_state(ginibre_density(rng, d * d), d)
+            assert fef_lower_bound(rho) == pytest.approx(
+                np.real(psi.conj() @ rho.matrix @ psi), abs=1e-15)
 
 
 def test_lower_bound_needs_square_bipartition():

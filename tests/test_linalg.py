@@ -81,6 +81,31 @@ def test_validate_density_accepts_and_freezes():
     assert rho.purity() == pytest.approx(0.25)
 
 
+def test_density_spectrum_is_cached_descending_and_read_only():
+    rng = np.random.default_rng(4)
+    m = ginibre_density(rng, 9)
+    rho = validate_density(m, 3, 3)
+    spec = rho.spectrum
+    assert rho.spectrum is spec
+    assert np.all(np.diff(spec.eigenvalues) <= 0)
+    assert spec.eigenvalues == pytest.approx(
+        np.linalg.eigvalsh(m)[::-1], abs=1e-14)
+    back = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    assert np.max(np.abs(back - rho.matrix)) < 1e-14
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 9.0
+    with pytest.raises(ValueError):
+        spec.eigenvectors[0, 0] = 9.0
+
+
+def test_validate_density_keeps_the_hermitian_part():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-12j  # within HERMITICITY_TOL
+    rho = validate_density(m, 2, 2)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert rho.matrix[0, 1] == 0.5e-12j
+
+
 @pytest.mark.parametrize("m, invariant", [
     (np.array([[0.5, 0.1], [0.3, 0.5]]), "hermiticity"),
     (np.eye(2), "trace"),

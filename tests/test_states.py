@@ -5,7 +5,7 @@ import pytest
 
 from absfef import states
 from absfef.errors import DomainError
-from absfef.fef import fef
+from absfef.fef import fef, fef_lower_bound
 from absfef.linalg import DensityMatrix, partial_trace
 from absfef.tripartite import ghzw_marginal
 
@@ -112,6 +112,7 @@ def test_max_entangled_family_is_exact():
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-15
     rho = states.construct(states.FamilySpec("max_entangled", {"d": 2}))
     assert fef(rho).value == 1.0
+    assert fef_lower_bound(rho) == 1.0
     assert rho.purity() == 1.0
     with pytest.raises(DomainError):
         states.construct(states.FamilySpec("max_entangled", {"d": 1}))
