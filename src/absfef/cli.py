@@ -124,7 +124,8 @@ _FAMILY_OPTIONS = [
     click.option("--input", "input_path", type=str, default=None,
                  help="JSON state file with 'dims' and row-major [re, im] 'matrix'."),
     click.option("--q", default=None, help="Mixing parameter for x2 / y3."),
-    click.option("--d", default=None, help="Local dimension (isotropic, max_entangled)."),
+    click.option("--d", type=int, default=None,
+                 help="Local dimension (isotropic, max_entangled)."),
     click.option("--beta", default=None, help="Isotropic-state parameter."),
     click.option("--p", default=None, help="GHZ-W mixing parameter."),
     click.option("--weights", default=None,
@@ -148,7 +149,7 @@ def _resolve_state(family, input_path, q, d, beta, p, weights, t11, t22, t33):
     params = {name: _num(v) for name, v in (("q", q), ("beta", beta), ("p", p))
               if v is not None}
     if d is not None:
-        params["d"] = int(d)
+        params["d"] = d
     if weights is not None:
         params["weights"] = [_num(v) for v in weights.split(",")]
     if t11 is not None or t22 is not None or t33 is not None:
@@ -336,7 +337,7 @@ _SWEEPS = {name: f.sweep for name, f in states.FAMILIES.items() if f.sweep}
 @click.option("--param", default=None, help="Parameter to sweep (defaults per family).")
 @click.option("--range", "range_spec", required=True,
               help="Grid as start:stop:step (rationals accepted).")
-@click.option("--d", default=None, help="Local dimension for isotropic.")
+@click.option("--d", type=int, default=None, help="Local dimension for isotropic.")
 @click.option("--output", default="-", help="CSV output path, '-' for stdout.")
 @click.pass_context
 def scan(ctx, family, param, range_spec, d, output):
@@ -357,8 +358,8 @@ def scan(ctx, family, param, range_spec, d, output):
                           f"{MAX_SCAN_POINTS} points")
     params = {}
     if d is not None and "d" in states.FAMILIES[family].params:
-        params["d"] = int(d)
-        require_supported_dim(params["d"])
+        params["d"] = d
+        require_supported_dim(d)
     grid = []
     v = start
     while v <= stop + 1e-12:

@@ -70,17 +70,39 @@ def require_supported_dim(d):
         raise DomainError(f"unsupported local dimension {d}; expected 2 or 3")
 
 
+def _local_dim(d):
+    d = int(d)
+    if d < 2:
+        raise DomainError(f"d must be >= 2, got {d}")
+    return d
+
+
 def canonical_ket(d):
+    """The canonical maximally entangled ket (1/sqrt(d)) sum_i |ii>, d >= 2."""
+    d = _local_dim(d)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
     return psi
 
 
+def canonical_projector(d):
+    """|psi+><psi+| with its |ii><jj| entries exactly 1/d, d >= 2.
+
+    Not the outer product of :func:`canonical_ket`, whose entries
+    (1/sqrt(d))^2 round away from 1/d and put the trace, purity and FEF of
+    |psi+><psi+| a few ulps off 1.
+    """
+    d = _local_dim(d)
+    p = np.zeros((d * d, d * d), dtype=complex)
+    p[:: d + 1, :: d + 1] = 1.0 / d
+    return p
+
+
 def fef_lower_bound(rho: DensityMatrix):
     """Canonical overlap <psi+| rho |psi+> (the U = I value of the maximand).
 
-    Computed as (1/d) sum_ij rho[ii, jj] by index, not through the rounded
-    entries 1/sqrt(d) of :func:`canonical_ket`, so |psi+><psi+| gives 1.
+    Tr(P rho) for P = :func:`canonical_projector`, read off P's support as
+    (1/d) sum_ij rho[ii, jj], so |psi+><psi+| gives 1.
     """
     if not rho.is_square_bipartition:
         raise MatrixShapeError(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import absolute, bloch, states, tripartite, witness
 from .bases import GELLMANN
-from .fef import fef, fef_two_qubit_closed_form
+from .fef import canonical_projector, fef, fef_two_qubit_closed_form
 from .linalg import kron, partial_trace, validate_density
 
 
@@ -90,7 +90,7 @@ def run_fixtures(restarts=None, seed=0, tol=1e-8):
                         np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), 1e-12))
 
     x1p = u1 @ rho_x1.matrix @ u1.conj().T
-    x1p_expected = ((5 / 9) * _proj(phi2)
+    x1p_expected = ((5 / 9) * canonical_projector(2)
                     + np.diag([0, 1 / 9, 1 / 9, 2 / 9]).astype(complex))
     out.append(_maxdiff("state.u1_x1_u1dag", x1p, x1p_expected, 1e-12))
 

@@ -12,39 +12,16 @@ import numpy as np
 
 from .bases import PAULI
 from .errors import DomainError
-from .fef import canonical_ket
+from .fef import canonical_ket, canonical_projector
 from .linalg import DensityMatrix, kron, validate_density
-from .tripartite import ghzw_marginal
+from .tripartite import ghzw_marginal, ghzw_state
 
-
-def max_entangled(d):
-    """The canonical maximally entangled ket (1/sqrt(d)) sum_i |ii>."""
-    d = int(d)
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    return canonical_ket(d)
-
-
-def _projector(ket):
-    return np.outer(ket, ket.conj())
-
-
-def _max_entangled_state(d):
-    """|psi+><psi+| with its nonzero entries exactly 1/d, so its trace is 1.
-
-    The outer product of the ket has entries (1/sqrt(d))^2, which round away
-    from 1/d.
-    """
-    d = int(d)
-    m = _projector(max_entangled(d))
-    m[m != 0] = 1 / d
-    return validate_density(m, d, d)
+max_entangled = canonical_ket
 
 
 def x1():
     """The two-qubit mixture 2/9 phi+ + 1/9 |01> + 1/9 |10> + 5/9 |00>."""
-    phi = max_entangled(2)
-    m = (2 / 9) * _projector(phi)
+    m = (2 / 9) * canonical_projector(2)
     m[1, 1] += 1 / 9
     m[2, 2] += 1 / 9
     m[0, 0] += 5 / 9
@@ -55,7 +32,7 @@ def _mix_with_01(q, d):
     q = float(q)
     if not 0 < q <= 1:
         raise DomainError(f"q must lie in (0, 1], got {q}")
-    m = q * _projector(max_entangled(d))
+    m = q * canonical_projector(d)
     m[1, 1] += 1 - q
     return validate_density(m, d, d)
 
@@ -73,13 +50,12 @@ def y3(q):
 def isotropic(d, beta):
     """Isotropic state: beta |psi+><psi+| + (1-beta)/d^2 I."""
     d = int(d)
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    p = canonical_projector(d)  # raises unless d >= 2
     beta = float(beta)
     lo = -1.0 / (d * d - 1)
     if not lo - 1e-12 <= beta <= 1 + 1e-12:
         raise DomainError(f"beta must lie in [{lo:.6g}, 1], got {beta}")
-    m = beta * _projector(max_entangled(d)) + (1 - beta) / (d * d) * np.eye(d * d)
+    m = beta * p + (1 - beta) / (d * d) * np.eye(d * d)
     return validate_density(m, d, d)
 
 
@@ -114,17 +90,13 @@ def bell_diag(t11, t22, t33):
 
 
 def ghz():
-    """Three-qubit GHZ state as a density matrix, split as 2 x 4."""
-    ket = np.zeros(8, dtype=complex)
-    ket[0] = ket[7] = 1 / np.sqrt(2)
-    return validate_density(_projector(ket), 2, 4)
+    """Three-qubit GHZ state (the p = 1 end of the GHZ-W mixture), split as 2 x 4."""
+    return validate_density(ghzw_state(1), 2, 4)
 
 
 def w():
-    """Three-qubit W state as a density matrix, split as 2 x 4."""
-    ket = np.zeros(8, dtype=complex)
-    ket[1] = ket[2] = ket[4] = 1 / np.sqrt(3)
-    return validate_density(_projector(ket), 2, 4)
+    """Three-qubit W state (the p = 0 end of the GHZ-W mixture), split as 2 x 4."""
+    return validate_density(ghzw_state(0), 2, 4)
 
 
 def af_not_as_example():
@@ -153,7 +125,7 @@ FAMILIES = {
     "ghz": Family(ghz),
     "w": Family(w),
     "af_not_as_example": Family(af_not_as_example),
-    "max_entangled": Family(_max_entangled_state, ("d",)),
+    "max_entangled": Family(lambda d: isotropic(d, 1), ("d",)),
     "ghzw": Family(lambda p: ghzw_marginal(p).marginal, ("p",), "p"),
 }
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bases import operator_basis
 from .errors import DomainError, MatrixShapeError
-from .fef import canonical_ket
+from .fef import canonical_projector
 from .linalg import DensityMatrix, kron
 
 _HERM_TOL = 1e-12
@@ -36,10 +36,7 @@ def teleportation_witness(d):
     aligned with |psi+> beyond the threshold.
     """
     d = int(d)
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    psi = canonical_ket(d)
-    w = np.eye(d * d, dtype=complex) / d - np.outer(psi, psi.conj())
+    w = np.eye(d * d, dtype=complex) / d - canonical_projector(d)
     return WitnessOperator(matrix=w, base_dim=d)
 
 

@@ -208,6 +208,26 @@ def test_scan_ghzw_label_flip(runner):
     assert rows[1][5] == "true"  # p = 0.25 is the boundary
 
 
+def test_scan_isotropic_ends_exactly_at_psi_plus(runner):
+    res = runner.invoke(main, ["scan", "--family", "isotropic", "--d", "3",
+                               "--range", "0:1:1/8"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "1,1,1,1,USEFUL,false"
+
+
+@pytest.mark.parametrize("value", ["2.5", "x"])
+@pytest.mark.parametrize("args", [
+    ["analyze", "--family", "isotropic", "--beta", "0.1"],
+    ["witness", "--family", "isotropic", "--beta", "0.1"],
+    ["scan", "--family", "isotropic", "--range", "0:1:0.5"],
+], ids=["analyze", "witness", "scan"])
+def test_non_integer_d_is_a_parse_error(runner, args, value):
+    res = runner.invoke(main, [*args, "--d", value])
+    assert res.exit_code == 2
+    assert f"Invalid value for '--d': '{value}' is not a valid integer" \
+        in res.stderr
+
+
 def test_scan_output_file_and_determinism(runner, tmp_path):
     out = tmp_path / "scan.csv"
     args = ["--restarts", "4", "scan", "--family", "x2",

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
 from absfef.fef import (_MAX_STEPS, MAX_RESTARTS, _ascend, _starts,
-                        canonical_ket, fef, fef_lower_bound,
-                        fef_two_qubit_closed_form)
+                        canonical_ket, canonical_projector, fef,
+                        fef_lower_bound, fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
 
@@ -20,6 +20,16 @@ def test_canonical_ket():
     psi = canonical_ket(3)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
     assert psi[0] == psi[4] == psi[8]
+    for d in (2, 3):
+        p = canonical_projector(d)
+        want = np.zeros((d * d, d * d))
+        want[:: d + 1, :: d + 1] = 1 / d
+        assert np.array_equal(p, want)
+        psi = canonical_ket(d)
+        assert np.max(np.abs(p - np.outer(psi, psi.conj()))) < 1e-15
+    for build in (canonical_ket, canonical_projector):
+        with pytest.raises(DomainError):
+            build(1)
 
 
 def test_lower_bound_matches_overlap():

@@ -103,19 +103,34 @@ def test_family_spec_and_construct():
 
 
 def test_max_entangled_family_is_exact():
-    # Entries exactly 1/d, not (1/sqrt(d))^2, so the trace is exactly 1 and
-    # the d = 2 FEF, lambda_max and purity print as 1.
+    # The family is isotropic(d, 1): |psi+><psi+| with entries exactly 1/d.
     for d in (2, 3):
         rho = states.construct(states.FamilySpec("max_entangled", {"d": d}))
-        assert np.trace(rho.matrix) == 1.0
+        assert np.array_equal(rho.matrix, states.isotropic(d, 1).matrix)
         psi = states.max_entangled(d)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-15
-    rho = states.construct(states.FamilySpec("max_entangled", {"d": 2}))
-    assert fef(rho).value == 1.0
-    assert fef_lower_bound(rho) == 1.0
-    assert rho.purity() == 1.0
     with pytest.raises(DomainError):
         states.construct(states.FamilySpec("max_entangled", {"d": 1}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: states.y3(1),
+    lambda: states.x2(1),
+    lambda: states.isotropic(2, 1),
+    lambda: states.isotropic(3, 1),
+    lambda: states.construct(states.FamilySpec("max_entangled", {"d": 2})),
+    lambda: states.construct(states.FamilySpec("max_entangled", {"d": 3})),
+], ids=["y3(1)", "x2(1)", "isotropic(2,1)", "isotropic(3,1)",
+        "max_entangled(2)", "max_entangled(3)"])
+def test_psi_plus_points_are_exact(build):
+    # Every family reaches |psi+><psi+| through canonical_projector, whose
+    # entries are exactly 1/d, so nothing reads a few ulps off 1.
+    rho = build()
+    assert np.trace(rho.matrix) == 1.0
+    assert rho.spectrum.lambda_max == 1.0
+    assert rho.purity() == 1.0
+    assert fef(rho).value == 1.0
+    assert fef_lower_bound(rho) == 1.0
 
 
 _SAMPLE_PARAMS = {"q": 0.5, "d": 3, "beta": 0.2, "p": 0.3,

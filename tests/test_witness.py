@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from absfef import absolute, states, witness
 from absfef.errors import DomainError, MatrixShapeError
+from absfef.fef import canonical_projector
 from absfef.linalg import validate_density
 from helpers import absolute_state, ginibre_density, haar_unitary
 
@@ -13,6 +14,7 @@ def test_teleportation_witness_structure():
     for d in (2, 3):
         w = witness.teleportation_witness(d)
         m = w.matrix
+        assert np.array_equal(m, np.eye(d * d) / d - canonical_projector(d))
         assert np.max(np.abs(m - m.conj().T)) < 1e-14
         assert np.trace(m).real == pytest.approx(d - 1, abs=1e-12)
         eigs = np.sort(np.linalg.eigvalsh(m))
