@@ -36,7 +36,12 @@ def _require_square(rho: DensityMatrix):
 
 
 def _membership(lam, d, tol=BOUNDARY_TOL):
-    """The spectral rule: a member iff lambda_max <= 1/d + tol."""
+    """The one threshold rule: ``lam`` <= 1/d + tol, on the boundary within tol.
+
+    On lambda_max it is membership (the tripartite marginals included);
+    :func:`classify` also applies it to the FEF.  Nothing else compares
+    lambda_max or an FEF with 1/d.
+    """
     return MembershipVerdict(absolute=lam <= 1 / d + tol,
                              boundary=abs(lam - 1 / d) <= tol,
                              lambda_max=lam)
@@ -122,14 +127,15 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     result = fef(rho, restarts=restarts, seed=seed, tol=tol)
     verdict = _membership(rho.spectrum.lambda_max, d)
     f_val = result.value
+    at_fef = _membership(f_val, d)
 
-    if f_val > thr + BOUNDARY_TOL:
+    if not at_fef.absolute:
         label, boundary = LABEL_USEFUL, False
     elif verdict.absolute:
         label, boundary = LABEL_ABSOLUTE, verdict.boundary
     else:
         # activation exists; the activated state has FEF > 1/d, hence k-copy
-        label, boundary = LABEL_ACTIVATABLE, abs(f_val - thr) <= BOUNDARY_TOL
+        label, boundary = LABEL_ACTIVATABLE, at_fef.boundary
     return ClassificationReport(
         label=label, lambda_max=verdict.lambda_max, fef_value=f_val,
         threshold=thr, boundary=boundary,

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import absolute, states, witness as witness_mod
-from .errors import DensityValidationError, DomainError, MatrixShapeError
+from .errors import DensityValidationError, DomainError
 from .fef import DEFAULT_RESTARTS, fef_lower_bound, require_supported_dim
 from .bloch import bloch_extract
 from .linalg import validate_density
@@ -168,8 +168,6 @@ def _resolve_state(family, input_path, q, d, beta, p, weights, t11, t22, t33):
 def _exit_for(exc):
     if isinstance(exc, DensityValidationError):
         return EXIT_PARSE_ERROR
-    if isinstance(exc, (DomainError, MatrixShapeError)):
-        return EXIT_DOMAIN_ERROR
     if isinstance(exc, OSError):
         return EXIT_IO_ERROR
     return EXIT_DOMAIN_ERROR

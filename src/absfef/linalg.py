@@ -14,9 +14,6 @@ import numpy as np
 from .errors import DensityValidationError, MatrixShapeError
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 
 
 def kron(a, b):

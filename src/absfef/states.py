@@ -77,11 +77,15 @@ def bell_diag(t11, t22, t33):
     rho = I/4 + t11 sx(x)sx + t22 sy(x)sy + t33 sz(x)sz, with the
     correlation normalization t_ii = Tr(rho s_i(x)s_i)/4.
     """
+    t = (float(t11), float(t22), float(t33))
+    # inf * the zeros of s_i(x)s_i would warn before validation could refuse it
+    if not np.isfinite(t).all():
+        raise DomainError(f"(t11, t22, t33) = ({t11}, {t22}, {t33}) must be finite")
     _, sx, sy, sz = PAULI
     m = (np.eye(4, dtype=complex) / 4
-         + float(t11) * kron(sx, sx)
-         + float(t22) * kron(sy, sy)
-         + float(t33) * kron(sz, sz))
+         + t[0] * kron(sx, sx)
+         + t[1] * kron(sy, sy)
+         + t[2] * kron(sz, sz))
     try:
         return validate_density(m, 2, 2)
     except Exception as exc:

@@ -2,7 +2,8 @@
 
 Covers the five-amplitude canonical form of pure three-qubit states, the
 GHZ-W mixture, and a three-qutrit mixture family.  Every closed-form
-marginal spectrum is cross-checkable against the generic partial trace.
+marginal spectrum is cross-checkable against the generic partial trace, and
+every verdict is :func:`~absfef.absolute.is_absolute_fef` on that marginal.
 """
 
 import math
@@ -11,10 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from .absolute import is_absolute_fef
 from .errors import DomainError
 from .linalg import DensityMatrix, partial_trace, validate_density
-
-_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,17 @@ class MarginalReport:
     s_value: Optional[float]
     absolute: bool
     boundary: bool
+
+
+def _marginal_report(rho3, dims, drop, eigenvalues, s_value=None):
+    """Trace party ``drop`` (1-based) out of ``rho3``; the verdict is
+    :func:`~absfef.absolute.is_absolute_fef` on the validated marginal."""
+    d = dims[0]
+    marginal = validate_density(partial_trace(rho3, dims, drop - 1), d, d)
+    verdict = is_absolute_fef(marginal)
+    return MarginalReport(dropped=drop, marginal=marginal, eigenvalues=eigenvalues,
+                          s_value=s_value, absolute=verdict.absolute,
+                          boundary=verdict.boundary)
 
 
 def acin_state(params: AcinParams):
@@ -98,15 +109,9 @@ def acin_marginal(params: AcinParams, drop):
     """
     s = acin_s_value(params, drop)
     ket = acin_state(params)
-    rho3 = np.outer(ket, ket.conj())
-    red = partial_trace(rho3, [2, 2, 2], drop - 1)
-    marginal = validate_density(red, 2, 2)
-    s_clip = max(s, 0.0)
-    eigs = np.array([0.5 * (1 + math.sqrt(s_clip)),
-                     0.5 * (1 - math.sqrt(s_clip)), 0.0, 0.0])
-    return MarginalReport(dropped=drop, marginal=marginal, eigenvalues=eigs,
-                          s_value=s, absolute=s <= _BOUNDARY_TOL,
-                          boundary=abs(s) <= _BOUNDARY_TOL)
+    root = math.sqrt(max(s, 0.0))
+    eigs = np.array([0.5 * (1 + root), 0.5 * (1 - root), 0.0, 0.0])
+    return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop, eigs, s)
 
 
 def ghzw_state(p):
@@ -127,14 +132,8 @@ def ghzw_marginal(p):
     Spectrum {0, 2(1-p)/3, p/2, (2+p)/6}; absolute exactly for p >= 1/4.
     """
     p = float(p)
-    rho3 = ghzw_state(p)
-    red = partial_trace(rho3, [2, 2, 2], 0)
-    marginal = validate_density(red, 2, 2)
     eigs = np.sort(np.array([0.0, 2 * (1 - p) / 3, p / 2, (2 + p) / 6]))[::-1]
-    return MarginalReport(dropped=1, marginal=marginal, eigenvalues=eigs,
-                          s_value=None,
-                          absolute=p >= 0.25 - _BOUNDARY_TOL,
-                          boundary=abs(p - 0.25) <= _BOUNDARY_TOL)
+    return _marginal_report(ghzw_state(p), [2, 2, 2], 1, eigs)
 
 
 def three_qutrit_state(alpha, beta):
@@ -161,15 +160,8 @@ def three_qutrit_marginal(alpha, beta):
     three; every valid (alpha, beta) gives an absolute marginal.
     """
     alpha, beta = float(alpha), float(beta)
-    rho3 = three_qutrit_state(alpha, beta)
-    red = partial_trace(rho3, [3, 3, 3], 0)
-    marginal = validate_density(red, 3, 3)
     distinct = np.array([(1 - alpha - beta) / 9,
                          (1 + 2 * alpha - beta) / 9,
                          (1 - alpha + 2 * beta) / 9])
     eigs = np.sort(np.repeat(distinct, 3))[::-1]
-    lam_max = float(eigs[0])
-    return MarginalReport(dropped=1, marginal=marginal, eigenvalues=eigs,
-                          s_value=None,
-                          absolute=lam_max <= 1 / 3 + _BOUNDARY_TOL,
-                          boundary=abs(lam_max - 1 / 3) <= _BOUNDARY_TOL)
+    return _marginal_report(three_qutrit_state(alpha, beta), [3, 3, 3], 1, eigs)

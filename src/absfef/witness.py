@@ -74,15 +74,11 @@ class BasisDecomposition:
     labels: tuple
 
     def reconstruct(self):
-        basis = operator_basis(self.basis_kind)
-        n = basis.single_dim
-        out = np.zeros((n * n, n * n), dtype=complex)
-        for i, bi in enumerate(basis.elements):
-            for j, bj in enumerate(basis.elements):
-                c = self.coefficients[i, j]
-                if c != 0:
-                    out += c * kron(bi, bj)
-        return out
+        """H = sum_ab c_ab B_a (x) B_b, the inverse of :func:`decompose`."""
+        b = np.array(operator_basis(self.basis_kind).elements)
+        n = b.shape[1]
+        h = np.einsum("ab,aik,bjl->ijkl", self.coefficients, b, b)
+        return h.reshape(n * n, n * n)
 
 
 def decompose(h, basis_kind):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_bell_diag_validity():
     assert eigs[0] >= -1e-12
     with pytest.raises(DomainError):
         states.bell_diag(0.5, 0.5, 0.5)
+
+
+def test_bell_diag_rejects_non_finite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            states.bell_diag(math.inf, 0, 0)
 
 
 def test_ghz_w_marginals():

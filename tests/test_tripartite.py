@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from absfef import tripartite
+from absfef.absolute import is_absolute_fef
 from absfef.errors import DomainError
 from absfef.linalg import partial_trace
 
@@ -12,6 +13,17 @@ def _random_acin(rng):
     x = np.abs(rng.normal(size=5))
     x /= np.linalg.norm(x)
     return tripartite.AcinParams(x=tuple(x), theta=rng.uniform(0, math.pi))
+
+
+def _agrees_with_membership(rep):
+    """The report's verdict is the spectral rule applied to its own marginal."""
+    return (rep.absolute, rep.boundary) == tuple(is_absolute_fef(rep.marginal))[:2]
+
+
+# lambda_max = 0.50001 at drops 1 and 3 (1e-5 above 1/2, though S = 4e-10
+# is within 1e-9 of 0) and 1 at drop 2
+_NEAR_BOUNDARY = tripartite.AcinParams(
+    x=(math.sqrt(0.5 + 1e-5), 0, math.sqrt(0.5 - 1e-5), 0, 0))
 
 
 def test_acin_params_validation():
@@ -35,12 +47,13 @@ def test_acin_state_normalized():
 @pytest.mark.parametrize("drop", [1, 2, 3])
 def test_acin_s_values_match_partial_trace(drop):
     rng = np.random.default_rng(50)
-    for _ in range(100):
-        params = _random_acin(rng)
+    for params in [_NEAR_BOUNDARY] + [_random_acin(rng) for _ in range(100)]:
         rep = tripartite.acin_marginal(params, drop)
         oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
         assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
-        assert rep.absolute == (rep.s_value <= 1e-9)
+        assert _agrees_with_membership(rep)
+    near = tripartite.acin_marginal(_NEAR_BOUNDARY, drop)
+    assert (near.absolute, near.boundary) == (False, False)
 
 
 def test_acin_ghz_counterexample_to_printed_s1():
@@ -67,10 +80,11 @@ def test_acin_marginal_bad_drop():
 
 
 def test_ghzw_marginal_spectrum_and_flip():
-    for p in (0.0, 0.1, 0.25, 0.6, 1.0):
+    for p in (0.0, 0.1, 0.25, 0.6, 1.0, 0.25 - 1e-6, 0.25 + 1e-6):
         rep = tripartite.ghzw_marginal(p)
         oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
         assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
+        assert _agrees_with_membership(rep)
     assert not tripartite.ghzw_marginal(0.25 - 1e-6).absolute
     assert tripartite.ghzw_marginal(0.25 + 1e-6).absolute
     assert tripartite.ghzw_marginal(0.25).boundary
@@ -95,6 +109,7 @@ def test_three_qutrit_marginal_grid():
             oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
             assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
             assert rep.absolute
+            assert _agrees_with_membership(rep)
 
 
 def test_three_qutrit_vertices():
