@@ -31,6 +31,9 @@ EXIT_IO_ERROR = 5
 
 MAX_SCAN_POINTS = 10_000
 
+# Local operator basis that `witness` decomposes its pullback over, per d.
+WITNESS_BASES = {2: "pauli", 3: "gellmann"}
+
 
 def _fmt(x):
     return format(float(x), ".17g")
@@ -301,9 +304,13 @@ def witness_cmd(ctx, unitary_path, **kwargs):
                        f"{_fmt(verdict.lambda_max)} <= 1/{d})", err=True)
             sys.exit(EXIT_NO_WITNESS)
         u = absolute.activating_unitary(rho)
+    kind = WITNESS_BASES.get(d)
+    if kind is None:
+        raise DomainError(f"no {d}x{d} local operator basis to decompose the "
+                          f"witness over: only d = 2 (pauli) and d = 3 "
+                          f"(gellmann) are built in")
     s = witness_mod.pullback(w, u)
     expectation = witness_mod.evaluate(s, rho)
-    kind = "pauli" if d == 2 else "gellmann"
     dec = witness_mod.decompose(s.matrix, kind)
     doc = {
         "d": d,

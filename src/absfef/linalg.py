@@ -17,8 +17,20 @@ HERMITICITY_TOL = 1e-10
 
 
 def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices.
+
+    One broadcast multiply: entry (i p + k, j q + l) of the (m p) x (n q)
+    result is the single product a[i, j] * b[k, l], so the result equals
+    ``np.kron(a, b)`` bit for bit without its n-d axis handling.  Raises
+    :class:`MatrixShapeError` unless both operands are 2-D.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise MatrixShapeError(
+            f"kron needs two matrices, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hs_inner(a, b):

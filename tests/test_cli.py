@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absfef import states
+from absfef import absolute, states, tripartite, witness
 from absfef.cli import main
-from absfef.fef import DEFAULT_RESTARTS
+from absfef.fef import DEFAULT_RESTARTS, fef
+from absfef.reproduce import run_fixtures
 from helpers import ginibre_density
 
 
@@ -195,6 +197,22 @@ def test_witness_malformed_unitary_exit_2(runner, tmp_path, text):
     assert "Traceback" not in res.output
 
 
+def test_witness_without_local_basis_exit_3(runner, tmp_path):
+    # activatable 4 x 4 state: lambda_max 0.7 > 1/4, but no 4 x 4 local basis
+    lam = np.full(16, 0.3 / 15)
+    lam[0] = 0.7
+    path = tmp_path / "state.json"
+    _write_state(path, np.diag(lam), (4, 4))
+    res = runner.invoke(main, ["witness", "--input", str(path)])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("error: no 4x4 local operator basis")
+    # an absolute 4 x 4 state still has no detecting witness at all
+    _write_state(path, np.eye(16) / 16, (4, 4))
+    res = runner.invoke(main, ["witness", "--input", str(path)])
+    assert res.exit_code == 4
+    assert "no detecting witness exists" in res.stderr
+
+
 def test_scan_ghzw_label_flip(runner):
     res = runner.invoke(main, ["--restarts", "4", "scan", "--family", "ghzw",
                                "--range", "0.2:0.3:0.05"])
@@ -317,6 +335,38 @@ def test_unexpected_error_maps_to_exit_3(runner, monkeypatch):
     res = runner.invoke(main, ["bounds"])
     assert res.exit_code == 2
     assert "Missing option '--d'" in res.stderr
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("bounds_d2", ["bounds", "--d", "2"]),
+    ("witness_x1", ["witness", "--family", "x1"]),
+    ("witness_y3_q0.2", ["witness", "--family", "y3", "--q", "0.2"]),
+    ("json_analyze_x1", ["--json", "analyze", "--family", "x1"]),
+    ("scan_ghzw", ["scan", "--family", "ghzw", "--range", "0:1:0.25"]),
+])
+def test_default_stdout_is_golden(runner, name, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (_GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_library_never_prints(capsys):
+    rho = states.x1()
+    absolute.classify(rho)
+    fef(rho)
+    absolute.is_absolute_fef(rho)
+    s = witness.pullback(witness.teleportation_witness(2),
+                         absolute.activating_unitary(rho))
+    witness.evaluate(s, rho)
+    witness.decompose(s.matrix, "pauli")
+    tripartite.acin_marginal(tripartite.AcinParams(x=(0.6, 0, 0.8, 0, 0)), 1)
+    tripartite.ghzw_marginal(0.5)
+    tripartite.three_qutrit_marginal(0.2, 0.3)
+    run_fixtures(restarts=4)
+    assert capsys.readouterr() == ("", "")
 
 
 _FUZZ_NUMBERS = ("nan", "inf", "-inf", "1/0", "-1", "-0.5", "0", "1/4", "0.3",

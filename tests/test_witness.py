@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absfef import absolute, states, witness
+from absfef.bases import operator_basis
 from absfef.errors import DomainError, MatrixShapeError
 from absfef.fef import canonical_projector
 from absfef.linalg import validate_density
@@ -102,6 +103,39 @@ def test_decompose_roundtrip_polarization():
     h = ginibre_density(rng, 4)
     dec = witness.decompose(h, "polarization")
     assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
+
+
+def _decompose_with_np_kron(h, kind):
+    """The coefficients of ``witness.decompose``, built on ``np.kron``."""
+    basis = operator_basis(kind)
+    k = len(basis.elements)
+    if kind == "polarization":
+        cols = np.column_stack([
+            np.kron(basis.elements[i], basis.elements[j]).ravel()
+            for i in range(k) for j in range(k)])
+        a = np.vstack([cols.real, cols.imag])
+        b = np.concatenate([h.ravel().real, h.ravel().imag])
+        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+        return coef.reshape(k, k)
+    coeffs = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            bij = np.kron(basis.elements[i], basis.elements[j])
+            val = complex(np.sum(np.conj(bij) * h))
+            coeffs[i, j] = val.real / (basis.norms[i] * basis.norms[j])
+    return coeffs
+
+
+@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3),
+                                     ("polarization", 2)])
+def test_decompose_bitwise_matches_np_kron_reference(kind, n):
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        g = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        h = g + g.conj().T
+        got = witness.decompose(h, kind).coefficients
+        want = _decompose_with_np_kron(h, kind)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_decompose_s1_pauli_pattern():
