@@ -17,6 +17,9 @@ from .fef import canonical_ket, fef
 from .linalg import DensityMatrix
 
 BOUNDARY_TOL = 1e-9
+#: Largest d :func:`purity_bounds` accepts: each witness spectrum holds d^2
+#: numbers, at most 10 000.
+MAX_PURITY_DIM = 100
 
 LABEL_USEFUL = "USEFUL"
 LABEL_ACTIVATABLE = "ACTIVATABLE"
@@ -167,11 +170,12 @@ def purity_bounds(d):
     The purest member spreads 1/d over d eigenvalues (Tr rho^2 = 1/d); the
     least pure non-member pins lambda_1 at 1/d and spreads the rest evenly
     over the other d^2 - 1 (Tr rho^2 = 2/(d(d+1))), an infimum that no
-    non-member attains.
+    non-member attains.  Raises :class:`DomainError` unless
+    2 <= d <= :data:`MAX_PURITY_DIM`, before allocating anything.
     """
     d = int(d)
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    if not 2 <= d <= MAX_PURITY_DIM:
+        raise DomainError(f"d must lie in [2, {MAX_PURITY_DIM}], got {d}")
     max_spec = np.zeros(d * d)
     max_spec[:d] = 1 / d
     min_spec = np.full(d * d, 1 / (d * (d + 1)))

@@ -40,6 +40,21 @@ restarts suffice.  The identity start can be stationary (for |01><01|,
 G = 0 at U = I and the value stays 0), and ``converged`` compares the two
 best restarts, so d = 2 keeps the identity plus three Haar starts.  d = 3
 has no such theorem and does have local maxima, so it keeps many restarts.
+
+Before any of this, ``fef`` tries a certificate.  f(U) <= lambda_max for
+every U, since f is the Rayleigh quotient of rho at the unit vector v, and
+equality holds exactly when a maximally entangled vector lies in the top
+eigenspace.  The maximally entangled vector nearest the top eigenvector v1
+is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the Procrustes step once
+more.  So f0 = f(X0^T) <= FEF <= lambda_max, and f0 >= lambda_max - tol*1e-3
+proves f0 within the ascent's own stopping gain of the maximum; ``fef`` then
+returns f0 without ascending.  On every state with FEF < lambda_max -
+tol*1e-3, f0 falls short and the ascent runs.  A degenerate top eigenspace
+usually falls through too, even when it holds a maximally entangled vector:
+the eigensolver returns an arbitrary v1 in it, and the ascent finds that
+vector.  The exception is d = 2 with an eigenspace spanned by real
+magic-basis vectors, such as isotropic(2, beta < 0): the vector nearest
+v1 = a + ib is then real and in span(a, b), so it certifies.
 """
 
 import functools
@@ -185,13 +200,19 @@ def _ascend(r_mat, x, eps):
 
 @dataclass(frozen=True)
 class FefResult:
-    """Outcome of the multistart FEF maximization."""
+    """Outcome of the multistart FEF maximization.
+
+    ``restarts_used`` is the restart count asked for, also when the
+    certificate made the ascent unnecessary.  ``converged`` means the two
+    best restarts agree within 1e-6, and is True for a certified value.
+    """
 
     value: float
     optimizer_unitary: np.ndarray
     restarts_used: int
     converged: bool
-    #: Step at which the last restart stopped, in [1, _MAX_STEPS].
+    #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when
+    #: the lambda_max certificate ran no ascent step.
     iterations: int
 
     def evaluate(self, rho: DensityMatrix):
@@ -204,7 +225,11 @@ class FefResult:
 def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     """Multistart maximization of the FEF objective over U(d).
 
-    All restarts run as one stack through the accelerated ascent of the module
+    First the certificate of the module docstring: if the maximally
+    entangled vector nearest the top eigenvector scores within ``tol * 1e-3``
+    of lambda_max, that score (clipped as below) is the value, its unitary
+    the optimizer, ``converged`` is True and ``iterations`` is 0.  Otherwise
+    all restarts run as one stack through the accelerated ascent of the module
     docstring on R = rho - lambda_min I; no accepted step lowers the
     objective, and each restart leaves the stack once its own accepted step
     gains no more than ``tol * 1e-3``.  Restart 0 starts at the identity, so
@@ -216,7 +241,8 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     value is clipped to [canonical overlap, lambda_max], the bounds it obeys
     in exact arithmetic; lambda_max wins if rounding puts the overlap above
     it.  ``converged`` means the two best restarts agree within 1e-6;
-    ``iterations`` is the step at which the last restart stopped.
+    ``iterations`` is the step at which the last restart stopped.  Argument
+    errors are raised before either path runs.
     """
     lower = fef_lower_bound(rho)  # raises unless the bipartition is square
     d = rho.dim_a
@@ -238,8 +264,18 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     seed = index
 
-    eigenvalues = rho.spectrum.eigenvalues
-    lam_max, lam_min = eigenvalues[0], eigenvalues[-1]
+    spectrum = rho.spectrum
+    lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    # Certificate: X0 = polar(reshape(v1)) spans the maximally entangled
+    # vector nearest the top eigenvector, and f(X0) <= FEF <= lambda_max.
+    w, _, vh = np.linalg.svd(spectrum.eigenvectors[:, 0].reshape(d, d))
+    x0 = w @ vh
+    v0 = x0.ravel()
+    f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
+    if f0 >= lam_max - tol * 1e-3:
+        return FefResult(value=float(min(max(f0, lower), lam_max)),
+                         optimizer_unitary=x0.T, restarts_used=restarts,
+                         converged=True, iterations=0)
     r_mat = rho.matrix - lam_min * np.eye(d * d)
     x, values, steps = _ascend(r_mat, _starts(d, restarts, seed), tol * 1e-3)
     best = int(np.argmax(values))

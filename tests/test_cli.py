@@ -298,6 +298,17 @@ def test_bounds_invalid_d_exit_3(runner):
     assert res.exit_code == 3
 
 
+def test_bounds_d_capped_before_allocating(runner):
+    cap = absolute.MAX_PURITY_DIM
+    res = runner.invoke(main, ["--json", "bounds", "--d", str(cap)])
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["witness_spectra"]["max"]) == cap * cap
+    for d in (cap + 1, 100_000):
+        res = runner.invoke(main, ["bounds", "--d", str(d)])
+        assert res.exit_code == 3
+        assert res.stderr == f"error: d must lie in [2, {cap}], got {d}\n"
+
+
 def test_reproduce_degraded_configuration(runner):
     # restarts forced to 1: FEF fixtures may fail; exit code must agree
     # with the printed report either way

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import (_MAX_STEPS, MAX_RESTARTS, _ascend, _starts,
-                        canonical_ket, canonical_projector, fef,
+from absfef.fef import (_MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS, _ascend,
+                        _starts, canonical_ket, canonical_projector, fef,
                         fef_lower_bound, fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
@@ -101,6 +101,86 @@ def test_fef_isotropic_exact(d, beta):
         beta + (1 - beta) / d**2, abs=1e-12)
 
 
+def _ascent_reference(rho, restarts, seed=0, tol=1e-8):
+    """What fef returns when the ascent runs: (value, unitary, steps)."""
+    d = rho.dim_a
+    lam = rho.spectrum.eigenvalues
+    x, values, steps = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
+                               _starts(d, restarts, seed), tol * 1e-3)
+    best = int(np.argmax(values))
+    value = min(max(values[best] + lam[-1], fef_lower_bound(rho)), lam[0])
+    return float(value), x[best].reshape(d, d).T, steps
+
+
+def _max_entangled_top(rng, d):
+    """A state whose nondegenerate top eigenvector is (A (x) B)|psi+>."""
+    n = d * d
+    top = np.kron(haar_unitary(rng, d), haar_unitary(rng, d)) @ canonical_ket(d)
+    basis, _ = np.linalg.qr(np.column_stack(
+        [top, rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))]))
+    lam = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    lam[0] += 0.05  # keep the top eigenvalue apart from the next one
+    lam /= lam.sum()
+    return _as_state((basis * lam) @ basis.conj().T, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_fef_certified_when_top_eigenvector_maximally_entangled(d, seed):
+    rho = _max_entangled_top(np.random.default_rng(seed), d)
+    res = fef(rho)
+    assert abs(res.value - rho.spectrum.lambda_max) <= 1e-13
+    assert res.iterations == 0
+    assert res.converged
+    assert res.restarts_used == DEFAULT_RESTARTS[d]
+    u = res.optimizer_unitary
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+
+
+def test_fef_ascent_path_unchanged():
+    # States with FEF < lambda_max fail the certificate, and fef returns the
+    # ascent's result bit for bit.
+    rng = np.random.default_rng(18)
+    rhos = [_as_state(ginibre_density(rng, d * d, rank), d)
+            for d in (2, 3) for rank in (1, 2, d * d) for _ in range(3)]
+    # Y3(q), q < 1/2: |01> is the top eigenvector and FEF < lambda_max.
+    rhos += [states.y3(k / 20) for k in range(1, 10)]
+    for rho in rhos:
+        restarts = DEFAULT_RESTARTS[rho.dim_a]
+        value, unitary, steps = _ascent_reference(rho, restarts)
+        res = fef(rho)
+        assert steps >= 1
+        assert (res.value, res.iterations) == (value, steps)
+        assert np.array_equal(res.optimizer_unitary, unitary)
+    # Y3(q), q > 1/2: |psi+> is the top eigenvector, FEF = lambda_max = q.
+    for k in range(11, 21):
+        res = fef(states.y3(k / 20))
+        assert res.iterations == 0
+        assert abs(res.value - k / 20) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fef_isotropic_negative_beta(d):
+    # For beta < 0 the top eigenspace is the (d^2 - 1)-dimensional complement
+    # of |psi+>: FEF = lambda_max = (1 - beta)/d^2, and the eigensolver's top
+    # eigenvector is an arbitrary vector in it.  At d = 3 its polar projection
+    # leaves the eigenspace and the ascent runs.  At d = 2 it cannot: in the
+    # magic basis |psi+> is a real e, the complement is spanned by real
+    # vectors orthogonal to e, and the maximally entangled vector nearest
+    # x = a + ib is real and in span(a, b), so the certificate holds.
+    rng = np.random.default_rng(19)
+    for beta in (-1 / (d * d - 1), -0.1, -0.05):
+        iso = states.isotropic(d, beta)
+        local = np.kron(haar_unitary(rng, d), haar_unitary(rng, d))
+        for rho in (iso, states.conjugate(iso, local)):
+            res = fef(rho)
+            assert (res.iterations == 0) == (d == 2)
+            assert abs(res.value - (1 - beta) / d**2) < 1e-10
+            if d == 2:
+                assert abs(res.value - fef_two_qubit_closed_form(rho)) < 1e-10
+
+
 def test_fef_iterations():
     rng = np.random.default_rng(17)
     for d in (2, 3):
@@ -109,7 +189,8 @@ def test_fef_iterations():
             assert 1 <= fef(rho, restarts=4, seed=0).iterations <= _MAX_STEPS
     # The shift leaves a rank-one objective whose top eigenvector the
     # identity start already reaches; the unshifted ascent takes 6 steps.
-    assert fef(states.isotropic(2, 0.9)).iterations <= 3
+    # (fef itself certifies this state without ascending.)
+    assert _ascent_reference(states.isotropic(2, 0.9), 4)[2] <= 3
     # Y3(q) converges slowest near q = 1/3, where c* reaches 1; the plain
     # polar ascent took 267 and 3223 steps here.
     assert fef(states.y3(0.34)).iterations <= 100
