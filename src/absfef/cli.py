@@ -144,26 +144,41 @@ def _family_options(f):
     return f
 
 
-def _resolve_state(family, input_path, q, d, beta, p, weights, t11, t22, t33):
+def _refuse_foreign_options(family, given):
+    """Raise :class:`DomainError` if ``given`` names an option ``family``
+    does not take, so that no option is silently ignored."""
+    accepted = states.FAMILIES[family].params
+    foreign = [name for name in given if name not in accepted]
+    if foreign:
+        takes = ", ".join(f"--{name}" for name in accepted) or "no options"
+        raise DomainError(
+            f"family {family} does not take "
+            f"{', '.join(f'--{name}' for name in foreign)}; it takes {takes}")
+
+
+def _resolve_state(family, input_path, **options):
     if (family is None) == (input_path is None):
         raise DomainError("provide exactly one of --family or --input")
     if input_path is not None:
         return _load_state_file(input_path)
-    params = {name: _num(v) for name, v in (("q", q), ("beta", beta), ("p", p))
-              if v is not None}
-    if d is not None:
-        params["d"] = d
-    if weights is not None:
-        params["weights"] = [_num(v) for v in weights.split(",")]
-    if t11 is not None or t22 is not None or t33 is not None:
-        for name, val in (("t11", t11), ("t22", t22), ("t33", t33)):
-            params[name] = _num(val) if val is not None else 0.0
-    spec = states.FamilySpec(family, params)
-    if "d" in params and "d" in states.FAMILIES[family].params:
+    states.FamilySpec(family)  # raises on an unknown family
+    given = {name: v for name, v in options.items() if v is not None}
+    _refuse_foreign_options(family, given)
+    if given.keys() & {"t11", "t22", "t33"}:
+        given = {"t11": 0, "t22": 0, "t33": 0, **given}  # bell_diag defaults
+    params = {}
+    for name, v in given.items():
+        if name == "d":
+            params[name] = v
+        elif name == "weights":
+            params[name] = [_num(w) for w in v.split(",")]
+        else:
+            params[name] = _num(v)
+    if "d" in params:
         # Refuse a d that fef cannot analyze before building a d^2 x d^2 state.
         require_supported_dim(params["d"])
     try:
-        return states.construct(spec)
+        return states.construct(states.FamilySpec(family, params))
     except KeyError as exc:
         raise DomainError(f"family {family!r} is missing parameter {exc}") from exc
 
@@ -362,7 +377,8 @@ def scan(ctx, family, param, range_spec, d, output):
         raise DomainError(f"range {range_spec!r} has more than "
                           f"{MAX_SCAN_POINTS} points")
     params = {}
-    if d is not None and "d" in states.FAMILIES[family].params:
+    if d is not None:
+        _refuse_foreign_options(family, ["d"])
         params["d"] = d
         require_supported_dim(d)
     grid = []

@@ -36,10 +36,12 @@ on the sphere (Badziag, Horodecki, Horodecki and Horodecki, PRA 62, 012311
 (2000); see fef_two_qubit_closed_form).  A Rayleigh quotient has no local
 maximum that is not global: its other critical points are saddles or
 minima.  So any start that is not stationary ascends to the FEF, and a few
-restarts suffice.  The identity start can be stationary (for |01><01|,
-G = 0 at U = I and the value stays 0), and ``converged`` compares the two
-best restarts, so d = 2 keeps the identity plus three Haar starts.  d = 3
-has no such theorem and does have local maxima, so it keeps many restarts.
+restarts suffice.  Restart 0 starts at the certificate's X0 (below), not at
+the identity: the identity is the canonical-basis guess and can be
+stationary below the FEF (for |01><01|, G = 0 at U = I and the value stays
+0; x2(q < 1/3) stays at q).  X0 can be stationary too, and ``converged``
+compares the two best restarts, so d = 2 adds one Haar start.  d = 3 has no
+such theorem and does have local maxima, so it keeps many restarts.
 
 Before any of this, ``fef`` tries a certificate.  f(U) <= lambda_max for
 every U, since f is the Rayleigh quotient of rho at the unit vector v, and
@@ -54,7 +56,10 @@ usually falls through too, even when it holds a maximally entangled vector:
 the eigensolver returns an arbitrary v1 in it, and the ascent finds that
 vector.  The exception is d = 2 with an eigenspace spanned by real
 magic-basis vectors, such as isotropic(2, beta < 0): the vector nearest
-v1 = a + ib is then real and in span(a, b), so it certifies.
+v1 = a + ib is then real and in span(a, b), so it certifies.  When the
+certificate fails, X0 is restart 0's start: the ascent begins at the
+maximally entangled vector nearest the direction the lambda_max bound comes
+from.
 """
 
 import functools
@@ -67,11 +72,11 @@ import numpy as np
 from .errors import DomainError, MatrixShapeError
 from .linalg import DensityMatrix
 
-#: Default restart counts per local dimension: the identity plus Haar starts.
-#: d = 2 has no spurious local maxima (module docstring), so three Haar
-#: starts back up a stationary identity and let ``converged`` compare two
-#: ascended restarts; d = 3 has local maxima and needs many more.
-DEFAULT_RESTARTS = {2: 4, 3: 60}
+#: Default restart counts per local dimension: the certificate's X0 plus Haar
+#: starts.  d = 2 has no spurious local maxima (module docstring), so one Haar
+#: start backs up an X0 that happens to be stationary and gives ``converged``
+#: a second ascended restart; d = 3 has local maxima and needs many more.
+DEFAULT_RESTARTS = {2: 2, 3: 60}
 #: Largest accepted restart count; all restarts are held in memory at once.
 MAX_RESTARTS = 10_000
 
@@ -127,22 +132,19 @@ def fef_lower_bound(rho: DensityMatrix):
 
 
 @functools.lru_cache(maxsize=8)
-def _starts(d, restarts, seed):
-    """Read-only (restarts, d*d) stack of start rows vec(U_i^T).
+def _haar_starts(d, n, seed):
+    """Read-only (n, d*d) stack of Haar start rows vec(U_i^T).
 
-    U_0 is the identity.  U_1 .. U_{restarts-1} are Haar unitaries: one
-    ``default_rng(seed)`` draw of shape (restarts - 1, 2, d, d) gives the real
-    and imaginary Ginibre parts, and one stacked QR with a diagonal phase fix
-    makes them Haar.  The generator fills the draw in C order, so U_i does not
-    depend on ``restarts``.
+    One ``default_rng(seed)`` draw of shape (n, 2, d, d) gives the real and
+    imaginary Ginibre parts, and one stacked QR with a diagonal phase fix
+    makes them Haar.  The generator fills the draw in C order, so row i does
+    not depend on ``n``.
     """
-    g = np.random.default_rng(seed).normal(size=(restarts - 1, 2, d, d))
+    g = np.random.default_rng(seed).normal(size=(n, 2, d, d))
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     phases = np.diagonal(r, axis1=1, axis2=2)
-    u = np.empty((restarts, d, d), dtype=complex)
-    u[0] = np.eye(d)
-    u[1:] = q * (phases / np.abs(phases))[:, None, :]
-    x = u.transpose(0, 2, 1).reshape(restarts, d * d)
+    u = q * (phases / np.abs(phases))[:, None, :]
+    x = u.transpose(0, 2, 1).reshape(n, d * d)
     x.flags.writeable = False
     return x
 
@@ -232,15 +234,16 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     all restarts run as one stack through the accelerated ascent of the module
     docstring on R = rho - lambda_min I; no accepted step lowers the
     objective, and each restart leaves the stack once its own accepted step
-    gains no more than ``tol * 1e-3``.  Restart 0 starts at the identity, so
-    the result is never below the canonical overlap.  Restarts 1 ..
-    restarts-1 start at Haar unitaries drawn from ``default_rng(seed)``;
-    restart i's start does not depend on ``restarts``, so the result is
-    deterministic given ``seed`` (a nonnegative int) and nondecreasing in
-    ``restarts``.  The start stack is cached per (d, restarts, seed).  The
-    value is clipped to [canonical overlap, lambda_max], the bounds it obeys
-    in exact arithmetic; lambda_max wins if rounding puts the overlap above
-    it.  ``converged`` means the two best restarts agree within 1e-6;
+    gains no more than ``tol * 1e-3``.  Restart 0 starts at the
+    certificate's X0.  Restarts 1 .. restarts-1 start at Haar unitaries
+    drawn from ``default_rng(seed)``; restart i's start does not depend on
+    ``restarts``, so the result is deterministic given ``seed`` (a
+    nonnegative int) and nondecreasing in ``restarts``.  The Haar stack is
+    cached per (d, restarts, seed).  The value is clipped to [canonical
+    overlap, lambda_max], the bounds it obeys in exact arithmetic, so it is
+    never below the canonical overlap although no restart starts at the
+    identity; lambda_max wins if rounding puts the overlap above it.
+    ``converged`` means the two best restarts agree within 1e-6;
     ``iterations`` is the step at which the last restart stopped.  Argument
     errors are raised before either path runs.
     """
@@ -277,7 +280,8 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
                          optimizer_unitary=x0.T, restarts_used=restarts,
                          converged=True, iterations=0)
     r_mat = rho.matrix - lam_min * np.eye(d * d)
-    x, values, steps = _ascend(r_mat, _starts(d, restarts, seed), tol * 1e-3)
+    starts = np.concatenate((v0[None], _haar_starts(d, restarts - 1, seed)))
+    x, values, steps = _ascend(r_mat, starts, tol * 1e-3)
     best = int(np.argmax(values))
     top = np.sort(values)[::-1]
     converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
