@@ -144,26 +144,28 @@ def _family_options(f):
     return f
 
 
-def _refuse_foreign_options(family, given):
-    """Raise :class:`DomainError` if ``given`` names an option ``family``
-    does not take, so that no option is silently ignored."""
-    accepted = states.FAMILIES[family].params
+def _refuse_foreign_options(source, accepted, given):
+    """Raise :class:`DomainError` if ``given`` names an option that
+    ``source`` (a family or ``--input``) does not take, so that no option is
+    silently ignored; ``accepted`` are the option names it takes."""
     foreign = [name for name in given if name not in accepted]
     if foreign:
         takes = ", ".join(f"--{name}" for name in accepted) or "no options"
         raise DomainError(
-            f"family {family} does not take "
+            f"{source} does not take "
             f"{', '.join(f'--{name}' for name in foreign)}; it takes {takes}")
 
 
 def _resolve_state(family, input_path, **options):
     if (family is None) == (input_path is None):
         raise DomainError("provide exactly one of --family or --input")
+    given = {name: v for name, v in options.items() if v is not None}
     if input_path is not None:
+        _refuse_foreign_options("--input", (), given)
         return _load_state_file(input_path)
     states.FamilySpec(family)  # raises on an unknown family
-    given = {name: v for name, v in options.items() if v is not None}
-    _refuse_foreign_options(family, given)
+    _refuse_foreign_options(f"family {family}", states.FAMILIES[family].params,
+                            given)
     if given.keys() & {"t11", "t22", "t33"}:
         given = {"t11": 0, "t22": 0, "t33": 0, **given}  # bell_diag defaults
     params = {}
@@ -378,7 +380,8 @@ def scan(ctx, family, param, range_spec, d, output):
                           f"{MAX_SCAN_POINTS} points")
     params = {}
     if d is not None:
-        _refuse_foreign_options(family, ["d"])
+        _refuse_foreign_options(f"family {family}",
+                                states.FAMILIES[family].params, ["d"])
         params["d"] = d
         require_supported_dim(d)
     grid = []

@@ -60,6 +60,27 @@ v1 = a + ib is then real and in span(a, b), so it certifies.  When the
 certificate fails, X0 is restart 0's start: the ascent begins at the
 maximally entangled vector nearest the direction the lambda_max bound comes
 from.
+
+lambda_max is the Y = Z = 0 case of a dual bound.  Every maximally entangled
+state has marginals I/d, so for any Hermitian Y and Z,
+
+    FEF <= (Tr Y + Tr Z)/d + lambda_max(rho - Y (x) I - I (x) Z).
+
+Minimized over (Y, Z) this is exact at d = 2 and not exact for d >= 3
+(Landau and Streater, Linear Algebra Appl. 193, 1993), but any (Y, Z) gives
+a valid bound.  Complementary slackness at the ascent's point X gives Y and
+Z in closed form (see _dual_gap), one eigvalsh from a bound.  During the
+ascent, a restart that stops while it leads the stack and other restarts are
+still live gets this bound; if the bound is within tol*1e-3 of its value,
+the value is proven within the ascent's own stopping gain of the maximum,
+and the whole stack stops there.
+That is the one threshold of both certificates.  The closed form is tight at
+a nondegenerate maximum; where the maximum is degenerate (x2 and y3 near
+q = 1/3) or the relaxation is loose, the gap stays open and the ascent runs
+to the end.  A restart whose momentum step gained too little to go on may
+still be short of its maximum (the next plain step can gain more), so a
+leader stopping after a momentum step is confirmed by its dual gap: while
+that gap is open, its momentum is reset and it takes a plain step.
 """
 
 import functools
@@ -149,7 +170,34 @@ def _haar_starts(d, n, seed):
     return x
 
 
-def _ascend(r_mat, x, eps):
+def _dual_gap(r_mat, x, y):
+    """Gap between the dual upper bound at X and the value v^dag R v there.
+
+    ``x`` is vec(X) for a unitary X, v = x/sqrt(d), and ``y`` = R x.  Every
+    maximally entangled v' has marginals I/d, so for any Hermitian A and B
+    (the Y and Z of the module docstring),
+    v'^dag R v' <= (Tr A + Tr B)/d + lambda_max(R - A (x) I - I (x) B).
+    A and B come in closed form from complementary slackness at v:
+    A = herm(reshape(y) X^dag)/2 and B = herm(X^dag A X)^T.  Then Tr A =
+    Tr B = x^dag R x / 2, so (Tr A + Tr B)/d is the value at X and the gap is
+    lambda_max(R - A (x) I - I (x) B), one d^2 x d^2 ``eigvalsh``.
+    """
+    d = math.isqrt(x.size)
+    xm = x.reshape(d, d)
+    xh = xm.conj().T
+    h = y.reshape(d, d) @ xh
+    a = (h + h.conj().T) / 4
+    b = xh @ a @ xm
+    b = (b.T + b.conj()) / 2
+    m = r_mat.copy()
+    m4 = m.reshape(d, d, d, d)  # m4[i, j, k, l] = m[i d + j, k d + l]
+    for j in range(d):
+        m4[:, j, :, j] -= a  # A (x) I
+        m4[j, :, j, :] -= b  # I (x) B
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+def _ascend(r_mat, x, eps, certify=False):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -158,8 +206,20 @@ def _ascend(r_mat, x, eps):
     (Nesterov momentum).  A step that lowers the value is rejected and k is
     reset to 0; a k = 0 step is the plain Procrustes step, which never lowers
     the value, so it is always accepted.  A restart stops once its accepted
-    step gains no more than eps.  Returns the final rows, their values and
-    the step at which the last restart stopped.
+    step gains no more than eps.
+
+    With ``certify``, the best stopping restart is checked if it leads (its
+    value is within eps of the live maximum) and either other restarts are
+    still live or its step used momentum: its :func:`_dual_gap` is
+    evaluated unless a gap was already found open at a value within eps of
+    its own.  A gap of at most eps stops the whole stack.  A leader whose momentum step gained no more than eps while its
+    gap is open does not stop: its momentum is reset and it takes a plain
+    step next.
+
+    Returns the final rows (a row still live when the stack stops keeps its
+    current point), their values, the step at which the last restart
+    stopped, and (row, dual bound on v^dag R v) for the certified row or
+    None.
     """
     n, dd = x.shape
     d = math.isqrt(dd)
@@ -171,6 +231,7 @@ def _ascend(r_mat, x, eps):
     live = np.arange(n)
     out_x = np.empty((n, dd), dtype=complex)
     out_values = np.empty(n)
+    checked = -np.inf  # the last leader value whose dual gap was evaluated
     for step in range(1, _MAX_STEPS + 1):
         z = y + (k / (k + 3))[:, None] * (y - y_prev)
         w, _, vh = np.linalg.svd(z.reshape(-1, d, d))
@@ -188,25 +249,45 @@ def _ascend(r_mat, x, eps):
             values = np.where(accept, new, values)
         k = np.where(accept, k + 1, 0)
         done = (accept & (gain <= eps)) | (step == _MAX_STEPS)
-        if done.any():
-            out_x[live[done]] = x[done]
-            out_values[live[done]] = values[done]
-            keep = ~done
-            if not keep.any():
-                break
-            x, y, y_prev, values, k, live = (
-                x[keep], y[keep], y_prev[keep], values[keep], k[keep],
-                live[keep])
-    return out_x, out_values, step
+        if not done.any():
+            continue
+        # k > 1 marks a restart whose accepted step used momentum.
+        if certify and (k.max() > 1 or not done.all()):
+            i = int(np.argmax(np.where(done, values, -np.inf)))
+            momentum = k[i] > 1
+            if ((momentum or not done.all())
+                    and values[i] >= values.max() - eps):
+                if values[i] > checked + eps:  # a new leader value
+                    checked = values[i]
+                    gap = _dual_gap(r_mat, x[i], y[i])
+                    if gap <= eps:
+                        out_x[live] = x
+                        out_values[live] = values
+                        return (out_x, out_values, step,
+                                (int(live[i]), values[i] + gap))
+                if momentum and step < _MAX_STEPS:
+                    done[i] = False
+                    k[i] = 0
+                    if not done.any():
+                        continue
+        out_x[live[done]] = x[done]
+        out_values[live[done]] = values[done]
+        keep = ~done
+        if not keep.any():
+            break
+        x, y, y_prev, values, k, live = (
+            x[keep], y[keep], y_prev[keep], values[keep], k[keep], live[keep])
+    return out_x, out_values, step, None
 
 
 @dataclass(frozen=True)
 class FefResult:
     """Outcome of the multistart FEF maximization.
 
-    ``restarts_used`` is the restart count asked for, also when the
-    certificate made the ascent unnecessary.  ``converged`` means the two
-    best restarts agree within 1e-6, and is True for a certified value.
+    ``restarts_used`` is the restart count asked for, also when a
+    certificate stopped the ascent early or made it unnecessary.
+    ``converged`` is True for a certified value and otherwise means the two
+    best restarts agree within 1e-6.
     """
 
     value: float
@@ -216,6 +297,9 @@ class FefResult:
     #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when
     #: the lambda_max certificate ran no ascent step.
     iterations: int
+    #: Upper bound on the FEF, never below ``value``: the dual bound when it
+    #: certified the value, lambda_max otherwise.
+    upper_bound: float
 
     def evaluate(self, rho: DensityMatrix):
         """Re-evaluate the objective at the stored unitary."""
@@ -227,25 +311,32 @@ class FefResult:
 def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     """Multistart maximization of the FEF objective over U(d).
 
-    First the certificate of the module docstring: if the maximally
-    entangled vector nearest the top eigenvector scores within ``tol * 1e-3``
+    Every certificate below uses one threshold, ``tol * 1e-3``: an upper
+    bound within it of a value attained by some U proves that value.  First
+    the lambda_max certificate of the module docstring: if the maximally
+    entangled vector nearest the top eigenvector scores within the threshold
     of lambda_max, that score (clipped as below) is the value, its unitary
     the optimizer, ``converged`` is True and ``iterations`` is 0.  Otherwise
     all restarts run as one stack through the accelerated ascent of the module
     docstring on R = rho - lambda_min I; no accepted step lowers the
     objective, and each restart leaves the stack once its own accepted step
-    gains no more than ``tol * 1e-3``.  Restart 0 starts at the
-    certificate's X0.  Restarts 1 .. restarts-1 start at Haar unitaries
-    drawn from ``default_rng(seed)``; restart i's start does not depend on
-    ``restarts``, so the result is deterministic given ``seed`` (a
-    nonnegative int) and nondecreasing in ``restarts``.  The Haar stack is
-    cached per (d, restarts, seed).  The value is clipped to [canonical
-    overlap, lambda_max], the bounds it obeys in exact arithmetic, so it is
-    never below the canonical overlap although no restart starts at the
-    identity; lambda_max wins if rounding puts the overlap above it.
-    ``converged`` means the two best restarts agree within 1e-6;
-    ``iterations`` is the step at which the last restart stopped.  Argument
-    errors are raised before either path runs.
+    gains no more than the threshold.  When a leading restart stops, the dual
+    bound at its point may prove it optimal within the threshold; the whole
+    stack then stops and that restart is returned with ``converged`` True.
+    Restart 0 starts at the certificate's X0.  Restarts 1 .. restarts-1
+    start at Haar unitaries drawn from ``default_rng(seed)``; restart i's
+    start does not depend on ``restarts``, so the result is deterministic
+    given ``seed`` (a nonnegative int) and, within the threshold,
+    nondecreasing in ``restarts``.  The Haar stack is cached per (d,
+    restarts, seed).  The value is clipped to [canonical overlap,
+    lambda_max], the bounds it obeys in exact arithmetic; the overlap wins
+    if rounding puts it above lambda_max.  When the clip lifts the value to
+    the overlap, the identity, which attains it, is the optimizer.
+    ``upper_bound`` is the certifying dual bound or lambda_max, whichever
+    is lower, and never below the value; ``converged`` means the two best
+    restarts agree within 1e-6 when no certificate holds; ``iterations`` is
+    the step at which the last restart stopped.  Argument errors are raised
+    before either path runs.
     """
     lower = fef_lower_bound(rho)  # raises unless the bipartition is square
     d = rho.dim_a
@@ -266,30 +357,39 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     if index < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     seed = index
+    eps = tol * 1e-3
 
     spectrum = rho.spectrum
     lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
     # Certificate: X0 = polar(reshape(v1)) spans the maximally entangled
-    # vector nearest the top eigenvector, and f(X0) <= FEF <= lambda_max.
+    # vector nearest the top eigenvector, and f(X0) <= FEF <= lambda_max,
+    # the dual bound at Y = Z = 0.
     w, _, vh = np.linalg.svd(spectrum.eigenvectors[:, 0].reshape(d, d))
     x0 = w @ vh
     v0 = x0.ravel()
     f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
-    if f0 >= lam_max - tol * 1e-3:
-        return FefResult(value=float(min(max(f0, lower), lam_max)),
-                         optimizer_unitary=x0.T, restarts_used=restarts,
-                         converged=True, iterations=0)
-    r_mat = rho.matrix - lam_min * np.eye(d * d)
-    starts = np.concatenate((v0[None], _haar_starts(d, restarts - 1, seed)))
-    x, values, steps = _ascend(r_mat, starts, tol * 1e-3)
-    best = int(np.argmax(values))
-    top = np.sort(values)[::-1]
-    converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
-    value = min(max(values[best] + lam_min, lower), lam_max)
-    return FefResult(value=float(value),
-                     optimizer_unitary=x[best].reshape(d, d).T,
+    if lam_max - f0 <= eps:
+        value, x, bound, converged, steps = f0, x0, lam_max, True, 0
+    else:
+        r_mat = rho.matrix - lam_min * np.eye(d * d)
+        starts = np.concatenate((v0[None], _haar_starts(d, restarts - 1, seed)))
+        xs, values, steps, cert = _ascend(r_mat, starts, eps, certify=True)
+        if cert is None:
+            best, bound = int(np.argmax(values)), lam_max
+            top = np.sort(values)[::-1]
+            converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
+        else:
+            best, bound = cert[0], cert[1] + lam_min
+            converged = True
+        value, x = values[best] + lam_min, xs[best].reshape(d, d)
+    u = x.T
+    value = min(value, lam_max)
+    if value < lower:  # the overlap wins the clip; U = I attains it
+        value, u = lower, np.eye(d, dtype=complex)
+    return FefResult(value=float(value), optimizer_unitary=u,
                      restarts_used=restarts, converged=converged,
-                     iterations=steps)
+                     iterations=steps,
+                     upper_bound=float(max(min(bound, lam_max), value)))
 
 
 # Magic basis: phase-adjusted Bell states; maximally entangled two-qubit

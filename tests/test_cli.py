@@ -160,6 +160,22 @@ def test_foreign_family_option_exit_3(runner, args, foreign, takes):
                           f"it takes {takes}\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+@pytest.mark.parametrize("options, foreign", [
+    (["--q", "0.3", "--d", "3"], "--q, --d"),
+    (["--beta", "0.5"], "--beta"),
+], ids=["q-d", "beta"])
+def test_input_refuses_family_options_exit_3(runner, tmp_path, command,
+                                             options, foreign):
+    path = tmp_path / "state.json"
+    _write_state(path, np.eye(4) / 4, (2, 2))
+    res = runner.invoke(main, [command, "--input", str(path), *options])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == (f"error: --input does not take {foreign}; "
+                          f"it takes no options\n")
+
+
 def test_restarts_help_names_the_defaults(runner):
     res = runner.invoke(main, ["--help"])
     assert res.exit_code == 0

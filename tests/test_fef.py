@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absfef import states
@@ -111,11 +113,14 @@ def _ascent_reference(rho, restarts, seed=0, tol=1e-8):
     lam = rho.spectrum.eigenvalues
     w, _, vh = np.linalg.svd(rho.spectrum.eigenvectors[:, 0].reshape(d, d))
     starts = np.vstack([(w @ vh).ravel(), _haar_starts(d, restarts - 1, seed)])
-    x, values, steps = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
-                               starts, tol * 1e-3)
+    x, values, steps, _ = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
+                                  starts, tol * 1e-3)
     best = int(np.argmax(values))
-    value = min(max(values[best] + lam[-1], fef_lower_bound(rho)), lam[0])
-    return float(value), x[best].reshape(d, d).T, steps
+    value = min(values[best] + lam[-1], lam[0])
+    unitary = x[best].reshape(d, d).T
+    if value < fef_lower_bound(rho):
+        value, unitary = fef_lower_bound(rho), np.eye(d)
+    return float(value), unitary, steps
 
 
 def _max_entangled_top(rng, d):
@@ -144,21 +149,45 @@ def test_fef_certified_when_top_eigenvector_maximally_entangled(d, seed):
     assert abs(res.evaluate(rho) - res.value) <= 1e-12
 
 
-def test_fef_ascent_path_unchanged():
-    # States with FEF < lambda_max fail the certificate, and fef returns the
-    # ascent's result bit for bit.
+def test_fef_ascent_path_unchanged(monkeypatch):
+    # States whose dual gap stays open fail both certificates.  Where no
+    # dual gap is evaluated at all, fef returns the plain ascent's result bit
+    # for bit; where a leader's momentum stop was sent on with a plain step,
+    # each restart only climbs further, so the value is never lower (up to
+    # the rounding of a plain step, which is always accepted).
+    fefmod = sys.modules[fef.__module__]
+    evaluated = []
+
+    def counted(*args):
+        evaluated.append(args)
+        return real(*args)
+
+    real = fefmod._dual_gap
+    monkeypatch.setattr(fefmod, "_dual_gap", counted)
     rng = np.random.default_rng(18)
-    rhos = [_as_state(ginibre_density(rng, d * d, rank), d)
-            for d in (2, 3) for rank in (1, 2, d * d) for _ in range(3)]
-    # Y3(q), q < 1/2: |01> is the top eigenvector and FEF < lambda_max.
-    rhos += [states.y3(k / 20) for k in range(1, 10)]
+    rhos = [_as_state(ginibre_density(rng, 9, rank), 3)
+            for rank in (1, 2, 3, 9) for _ in range(3)]
+    # Y3(q), q < 1/2: |01> is the top eigenvector and FEF < lambda_max; the
+    # closed-form dual stays loose.  So does x2(q) for 1/3 < q < 1/2.
+    rhos += [states.y3(k / 40) for k in range(1, 20)]
+    rhos += [states.x2(k / 40) for k in range(14, 20)]
+    identical = 0
     for rho in rhos:
+        evaluated.clear()
+        res = fef(rho)
+        if res.upper_bound - res.value <= 1e-11:
+            continue  # certified
+        assert res.upper_bound == rho.spectrum.lambda_max
         restarts = DEFAULT_RESTARTS[rho.dim_a]
         value, unitary, steps = _ascent_reference(rho, restarts)
-        res = fef(rho)
         assert steps >= 1
-        assert (res.value, res.iterations) == (value, steps)
-        assert np.array_equal(res.optimizer_unitary, unitary)
+        if evaluated:
+            assert res.value >= value - 1e-14
+        else:
+            assert (res.value, res.iterations) == (value, steps)
+            assert np.array_equal(res.optimizer_unitary, unitary)
+            identical += 1
+    assert identical >= 4
     # Y3(q), q > 1/2: |psi+> is the top eigenvector, FEF = lambda_max = q.
     for k in range(11, 21):
         res = fef(states.y3(k / 20))
@@ -212,12 +241,40 @@ def test_fef_result_evaluate_consistent():
         assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-9
         assert res.evaluate(rho) == pytest.approx(res.value, abs=1e-12)
     # No restart starts at the identity, so on y3 at q in [1/3, 1/2], where
-    # the identity is the maximizer, the clip lifts the ascended value to the
-    # canonical overlap q; the returned unitary stays within 1e-11 of it.
+    # the identity is the maximizer, the ascent can stop short of the
+    # canonical overlap q; the clip lifts the value to it and returns the
+    # identity, which attains it.
     for k in range(1, 21):
         rho = states.y3(k / 20)
         res = fef(rho)
-        assert abs(res.evaluate(rho) - res.value) <= 1e-11
+        assert abs(res.evaluate(rho) - res.value) <= 1e-12
+
+
+def test_fef_clip_to_overlap_returns_identity():
+    # At y3(1/3) the ascent from X0 stops 2e-10 below the overlap, which the
+    # identity attains.
+    rho = states.y3(1 / 3)
+    res = fef(rho)
+    assert res.value == fef_lower_bound(rho)
+    assert np.array_equal(res.optimizer_unitary, np.eye(3))
+    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+    assert res.value <= res.upper_bound
+
+
+def test_fef_overlap_wins_the_clip():
+    # x2(0.9) has FEF = lambda_max = 0.9 at U = I, and the computed lambda_max
+    # rounds below the canonical overlap; the value is the overlap, never
+    # below the lower bound reported next to it.
+    rho = states.x2(0.9)
+    assert rho.spectrum.lambda_max < fef_lower_bound(rho)
+    res = fef(rho)
+    assert res.value == fef_lower_bound(rho)
+    assert res.upper_bound >= res.value
+    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+    for k in range(1, 21):
+        rho = states.x2(k / 20)
+        res = fef(rho)
+        assert fef_lower_bound(rho) <= res.value <= res.upper_bound
 
 
 def test_fef_matches_closed_form_oracle():
@@ -263,7 +320,8 @@ def test_fef_d2_every_haar_restart_reaches_closed_form():
     starts = _haar_starts(2, 19, 0)
     for rho in rhos:
         lam_min = np.linalg.eigvalsh(rho.matrix)[0]
-        _, values, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts, 1e-11)
+        _, values, _, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts,
+                                  1e-11)
         assert np.all(np.abs(values + lam_min
                              - fef_two_qubit_closed_form(rho)) < 1e-6)
 
@@ -292,15 +350,67 @@ def test_fef_d2_default_restarts_cover_stationary_identity():
 
 @settings(max_examples=60, deadline=None)
 @given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(rank=3, seed=2**32 - 1)
 def test_fef_d2_matches_closed_form_property(rank, seed):
     # The Rayleigh-quotient landscape has no spurious local maximum, so X0
     # alone reaches the FEF unless it is stationary, which a random state
     # almost surely does not make it; the Haar guard covers that case at the
-    # default restarts.
+    # default restarts.  In the pinned example a momentum step of X0 gains
+    # 6.4e-12 and the next step would gain 1.2e-10: stopping there left
+    # restarts=1 1.27e-10 short, and the open dual gap now sends it on.
     rho = _as_state(ginibre_density(np.random.default_rng(seed), 4, rank), 2)
     exact = fef_two_qubit_closed_form(rho)
     for restarts in (None, 1):
         assert abs(fef(rho, restarts=restarts).value - exact) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), rank=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_fef_upper_bound_brackets_value(d, rank, seed):
+    rho = _as_state(ginibre_density(np.random.default_rng(seed), d * d,
+                                    min(rank, d * d)), d)
+    res = fef(rho)
+    assert res.value <= res.upper_bound <= max(rho.spectrum.lambda_max,
+                                               res.value)
+    if d == 2:
+        # The dual bound is an upper bound on the exact FEF.
+        assert res.upper_bound >= fef_two_qubit_closed_form(rho) - 1e-14
+
+
+def test_fef_dual_certificate_d2():
+    # A certified value (upper_bound within tol*1e-3 of it) is within
+    # tol*1e-3 of the exact FEF; the dual certifies most ascended states.
+    rng = np.random.default_rng(41)
+    by_dual = 0
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            rho = _as_state(ginibre_density(rng, 4, rank), 2)
+            res = fef(rho)
+            if res.upper_bound - res.value > 1e-11:
+                continue
+            assert res.converged
+            assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-11
+            by_dual += res.iterations > 0
+    assert by_dual >= 80
+
+
+def test_fef_dual_certificate_d3_matches_full_stack():
+    # A certified d = 3 value is within tol*1e-3 of what the full 60-restart
+    # stack reaches when no restart stops early.
+    rng = np.random.default_rng(42)
+    rhos = [_as_state(ginibre_density(rng, 9, rank), 3)
+            for rank in (1, 2, 3, 9) for _ in range(8)]
+    rhos += [states.y3(k / 40) for k in range(1, 40)]
+    certified = 0
+    for rho in rhos:
+        res = fef(rho)
+        if res.iterations == 0 or res.upper_bound - res.value > 1e-11:
+            continue
+        certified += 1
+        full, _, _ = _ascent_reference(rho, DEFAULT_RESTARTS[3])
+        assert abs(res.value - full) <= 1e-11
+    assert certified >= 10
 
 
 @settings(max_examples=25, deadline=None)
