@@ -38,25 +38,26 @@ def _require_square(rho: DensityMatrix):
             f"expected a square bipartition, got {rho.dim_a}x{rho.dim_b}")
 
 
-def _membership(lam, d, tol=BOUNDARY_TOL):
-    """The one threshold rule: ``lam`` <= 1/d + tol, on the boundary within tol.
+def _membership(lam, d):
+    """The one threshold rule: ``lam`` <= 1/d + ``BOUNDARY_TOL``.
 
-    On lambda_max it is membership (the tripartite marginals included);
+    A ``lam`` within ``BOUNDARY_TOL`` of 1/d sets the boundary flag.  On
+    lambda_max it is membership (the tripartite marginals included);
     :func:`classify` also applies it to the FEF.  Nothing else compares
     lambda_max or an FEF with 1/d.
     """
-    return MembershipVerdict(absolute=lam <= 1 / d + tol,
-                             boundary=abs(lam - 1 / d) <= tol,
+    return MembershipVerdict(absolute=lam <= 1 / d + BOUNDARY_TOL,
+                             boundary=abs(lam - 1 / d) <= BOUNDARY_TOL,
                              lambda_max=lam)
 
 
-def is_absolute_fef(rho: DensityMatrix, tol=BOUNDARY_TOL):
+def is_absolute_fef(rho: DensityMatrix):
     """Membership in the absolute-FEF set: lambda_max <= 1/d.
 
-    Returns a :class:`MembershipVerdict`; ties within ``tol`` count as
-    members with the boundary flag set.
+    Returns a :class:`MembershipVerdict`; ties within ``BOUNDARY_TOL``
+    count as members with the boundary flag set.
     """
-    return _membership(max_global_fef(rho), rho.dim_a, tol)
+    return _membership(max_global_fef(rho), rho.dim_a)
 
 
 def max_global_fef(rho: DensityMatrix):
@@ -117,7 +118,7 @@ class ClassificationReport:
     fef_restarts: int
 
 
-def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
+def classify(rho: DensityMatrix, restarts=None, seed=0):
     """Classify a state as USEFUL, ACTIVATABLE or ABSOLUTE.
 
     USEFUL: FEF already exceeds 1/d.  ACTIVATABLE: FEF <= 1/d but some
@@ -127,7 +128,7 @@ def classify(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     _require_square(rho)
     d = rho.dim_a
     thr = 1 / d
-    result = fef(rho, restarts=restarts, seed=seed, tol=tol)
+    result = fef(rho, restarts=restarts, seed=seed)
     verdict = _membership(rho.spectrum.lambda_max, d)
     f_val = result.value
     at_fef = _membership(f_val, d)

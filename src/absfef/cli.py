@@ -225,13 +225,11 @@ class _Command(click.Command):
 @click.option("--restarts", type=int, default=None,
               help="FEF optimizer restarts (default " + ", ".join(
                   f"{n} for d={d}" for d, n in DEFAULT_RESTARTS.items()) + ").")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="FEF optimizer improvement tolerance.")
 @click.option("--json", "as_json", is_flag=True, help="Emit machine-readable JSON.")
 @click.pass_context
-def main(ctx, seed, restarts, tol, as_json):
+def main(ctx, seed, restarts, as_json):
     """Absolute fully entangled fraction toolkit."""
-    ctx.obj = {"seed": seed, "restarts": restarts, "tol": tol, "json": as_json}
+    ctx.obj = {"seed": seed, "restarts": restarts, "json": as_json}
 
 
 main.command_class = _Command
@@ -239,7 +237,7 @@ main.command_class = _Command
 
 def _build_report(rho, opts):
     report = absolute.classify(rho, restarts=opts["restarts"],
-                               seed=opts["seed"], tol=opts["tol"])
+                               seed=opts["seed"])
     spectrum = rho.spectrum.eigenvalues
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
@@ -356,17 +354,13 @@ _SWEEPS = {name: f.sweep for name, f in states.FAMILIES.items() if f.sweep}
 
 @main.command()
 @click.option("--family", required=True, type=click.Choice(sorted(_SWEEPS)))
-@click.option("--param", default=None, help="Parameter to sweep (defaults per family).")
 @click.option("--range", "range_spec", required=True,
               help="Grid as start:stop:step (rationals accepted).")
 @click.option("--d", type=int, default=None, help="Local dimension for isotropic.")
 @click.option("--output", default="-", help="CSV output path, '-' for stdout.")
 @click.pass_context
-def scan(ctx, family, param, range_spec, d, output):
+def scan(ctx, family, range_spec, d, output):
     """Sweep one family parameter; emit a CSV of spectra, FEF and labels."""
-    expected = _SWEEPS[family]
-    if param is not None and param != expected:
-        raise DomainError(f"family {family} sweeps {expected!r}, not {param!r}")
     parts = range_spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"range must be start:stop:step, got {range_spec!r}")
@@ -391,9 +385,10 @@ def scan(ctx, family, param, range_spec, d, output):
         v = start + len(grid) * step
     rows = []
     for v in grid:
-        rho = states.construct(states.FamilySpec(family, {**params, expected: v}))
+        rho = states.construct(
+            states.FamilySpec(family, {**params, _SWEEPS[family]: v}))
         report = absolute.classify(rho, restarts=ctx.obj["restarts"],
-                                   seed=ctx.obj["seed"], tol=ctx.obj["tol"])
+                                   seed=ctx.obj["seed"])
         rows.append((v, report.lambda_max, fef_lower_bound(rho),
                      report.fef_value, report.label, report.boundary))
     lines = ["param,lambda_max,fef_lower_bound,fef,label,boundary"]
@@ -444,8 +439,7 @@ def bounds(ctx, d):
 @click.pass_context
 def reproduce(ctx):
     """Re-derive every published fixture value and report pass/fail."""
-    results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"],
-                           tol=ctx.obj["tol"])
+    results = run_fixtures(restarts=ctx.obj["restarts"], seed=ctx.obj["seed"])
     if ctx.obj["json"]:
         doc = [{"name": r.name, "expected": r.expected, "computed": r.computed,
                 "delta": r.delta, "tolerance": r.tolerance, "passed": r.passed}

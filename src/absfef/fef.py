@@ -48,10 +48,10 @@ every U, since f is the Rayleigh quotient of rho at the unit vector v, and
 equality holds exactly when a maximally entangled vector lies in the top
 eigenspace.  The maximally entangled vector nearest the top eigenvector v1
 is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the Procrustes step once
-more.  So f0 = f(X0^T) <= FEF <= lambda_max, and f0 >= lambda_max - tol*1e-3
+more.  So f0 = f(X0^T) <= FEF <= lambda_max, and f0 >= lambda_max - _EPS
 proves f0 within the ascent's own stopping gain of the maximum; ``fef`` then
-returns f0 without ascending.  On every state with FEF < lambda_max -
-tol*1e-3, f0 falls short and the ascent runs.  A degenerate top eigenspace
+returns f0 without ascending.  On every state with FEF < lambda_max - _EPS,
+f0 falls short and the ascent runs.  A degenerate top eigenspace
 usually falls through too, even when it holds a maximally entangled vector:
 the eigensolver returns an arbitrary v1 in it, and the ascent finds that
 vector.  The exception is d = 2 with an eigenspace spanned by real
@@ -71,7 +71,7 @@ Minimized over (Y, Z) this is exact at d = 2 and not exact for d >= 3
 a valid bound.  Complementary slackness at the ascent's point X gives Y and
 Z in closed form (see _dual_gap), one eigvalsh from a bound.  During the
 ascent, a restart that stops while it leads the stack and other restarts are
-still live gets this bound; if the bound is within tol*1e-3 of its value,
+still live gets this bound; if the bound is within _EPS of its value,
 the value is proven within the ascent's own stopping gain of the maximum,
 and the whole stack stops there.
 That is the one threshold of both certificates.  The closed form is tight at
@@ -101,8 +101,10 @@ DEFAULT_RESTARTS = {2: 2, 3: 60}
 #: Largest accepted restart count; all restarts are held in memory at once.
 MAX_RESTARTS = 10_000
 
-# Cap on ascent steps, so the loop ends even if gains never fall below eps.
+# Cap on ascent steps, so the loop ends even if gains never fall below _EPS.
 _MAX_STEPS = 10_000
+# The one threshold of the ascent's stop rule and both certificates.
+_EPS = 1e-8 * 1e-3
 
 
 def require_supported_dim(d):
@@ -197,7 +199,7 @@ def _dual_gap(r_mat, x, y):
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def _ascend(r_mat, x, eps, certify=False):
+def _ascend(r_mat, x, certify=False):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -206,15 +208,15 @@ def _ascend(r_mat, x, eps, certify=False):
     (Nesterov momentum).  A step that lowers the value is rejected and k is
     reset to 0; a k = 0 step is the plain Procrustes step, which never lowers
     the value, so it is always accepted.  A restart stops once its accepted
-    step gains no more than eps.
+    step gains no more than _EPS.
 
     With ``certify``, the best stopping restart is checked if it leads (its
-    value is within eps of the live maximum) and either other restarts are
+    value is within _EPS of the live maximum) and either other restarts are
     still live or its step used momentum: its :func:`_dual_gap` is
-    evaluated unless a gap was already found open at a value within eps of
-    its own.  A gap of at most eps stops the whole stack.  A leader whose momentum step gained no more than eps while its
-    gap is open does not stop: its momentum is reset and it takes a plain
-    step next.
+    evaluated unless a gap was already found open at a value within _EPS of
+    its own.  A gap of at most _EPS stops the whole stack.  A leader whose
+    momentum step gained no more than _EPS while its gap is open does not
+    stop: its momentum is reset and it takes a plain step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
@@ -248,7 +250,7 @@ def _ascend(r_mat, x, eps, certify=False):
             y = np.where(accept[:, None], y_new, y)
             values = np.where(accept, new, values)
         k = np.where(accept, k + 1, 0)
-        done = (accept & (gain <= eps)) | (step == _MAX_STEPS)
+        done = (accept & (gain <= _EPS)) | (step == _MAX_STEPS)
         if not done.any():
             continue
         # k > 1 marks a restart whose accepted step used momentum.
@@ -256,11 +258,11 @@ def _ascend(r_mat, x, eps, certify=False):
             i = int(np.argmax(np.where(done, values, -np.inf)))
             momentum = k[i] > 1
             if ((momentum or not done.all())
-                    and values[i] >= values.max() - eps):
-                if values[i] > checked + eps:  # a new leader value
+                    and values[i] >= values.max() - _EPS):
+                if values[i] > checked + _EPS:  # a new leader value
                     checked = values[i]
                     gap = _dual_gap(r_mat, x[i], y[i])
-                    if gap <= eps:
+                    if gap <= _EPS:
                         out_x[live] = x
                         out_values[live] = values
                         return (out_x, out_values, step,
@@ -308,35 +310,28 @@ class FefResult:
         return float(np.real(v.conj() @ rho.matrix @ v))
 
 
-def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
-    """Multistart maximization of the FEF objective over U(d).
+def fef(rho: DensityMatrix, restarts=None, seed=0):
+    """Multistart maximization of the FEF objective over U(d), d in {2, 3}.
 
-    Every certificate below uses one threshold, ``tol * 1e-3``: an upper
-    bound within it of a value attained by some U proves that value.  First
-    the lambda_max certificate of the module docstring: if the maximally
-    entangled vector nearest the top eigenvector scores within the threshold
-    of lambda_max, that score (clipped as below) is the value, its unitary
-    the optimizer, ``converged`` is True and ``iterations`` is 0.  Otherwise
-    all restarts run as one stack through the accelerated ascent of the module
-    docstring on R = rho - lambda_min I; no accepted step lowers the
-    objective, and each restart leaves the stack once its own accepted step
-    gains no more than the threshold.  When a leading restart stops, the dual
-    bound at its point may prove it optimal within the threshold; the whole
-    stack then stops and that restart is returned with ``converged`` True.
-    Restart 0 starts at the certificate's X0.  Restarts 1 .. restarts-1
-    start at Haar unitaries drawn from ``default_rng(seed)``; restart i's
-    start does not depend on ``restarts``, so the result is deterministic
-    given ``seed`` (a nonnegative int) and, within the threshold,
-    nondecreasing in ``restarts``.  The Haar stack is cached per (d,
-    restarts, seed).  The value is clipped to [canonical overlap,
-    lambda_max], the bounds it obeys in exact arithmetic; the overlap wins
-    if rounding puts it above lambda_max.  When the clip lifts the value to
-    the overlap, the identity, which attains it, is the optimizer.
-    ``upper_bound`` is the certifying dual bound or lambda_max, whichever
-    is lower, and never below the value; ``converged`` means the two best
-    restarts agree within 1e-6 when no certificate holds; ``iterations`` is
-    the step at which the last restart stopped.  Argument errors are raised
-    before either path runs.
+    ``restarts`` defaults to ``DEFAULT_RESTARTS[d]``; restart 0 starts at the
+    lambda_max certificate's X0 and the others at Haar unitaries drawn from
+    ``default_rng(seed)``.  Restart i's start does not depend on
+    ``restarts``, so the result is deterministic given ``seed`` and, within
+    ``_EPS``, nondecreasing in ``restarts``.  The module docstring states the
+    certificates and the ascent.
+
+    Returns a :class:`FefResult`.  ``value`` is clipped to [canonical
+    overlap, lambda_max]; when the clip lifts it to the overlap, the identity
+    is ``optimizer_unitary``.  ``upper_bound`` is the certifying dual bound
+    or lambda_max, never below ``value``; ``converged`` is True when a
+    certificate held and otherwise means the two best restarts agree within
+    1e-6; ``iterations`` is the step at which the last restart stopped, 0
+    when the lambda_max certificate ran no ascent.
+
+    Raises :class:`MatrixShapeError` for a non-square bipartition and
+    :class:`DomainError` for d outside {2, 3}, ``restarts`` outside
+    [1, MAX_RESTARTS] or a ``seed`` that is not an integer >= 0, before any
+    computation.
     """
     lower = fef_lower_bound(rho)  # raises unless the bipartition is square
     d = rho.dim_a
@@ -347,9 +342,6 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(
             f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
     try:
         index = operator.index(seed)
     except TypeError:
@@ -357,7 +349,6 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     if index < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     seed = index
-    eps = tol * 1e-3
 
     spectrum = rho.spectrum
     lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
@@ -368,12 +359,12 @@ def fef(rho: DensityMatrix, restarts=None, seed=0, tol=1e-8):
     x0 = w @ vh
     v0 = x0.ravel()
     f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
-    if lam_max - f0 <= eps:
+    if lam_max - f0 <= _EPS:
         value, x, bound, converged, steps = f0, x0, lam_max, True, 0
     else:
         r_mat = rho.matrix - lam_min * np.eye(d * d)
         starts = np.concatenate((v0[None], _haar_starts(d, restarts - 1, seed)))
-        xs, values, steps, cert = _ascend(r_mat, starts, eps, certify=True)
+        xs, values, steps, cert = _ascend(r_mat, starts, certify=True)
         if cert is None:
             best, bound = int(np.argmax(values)), lam_max
             top = np.sort(values)[::-1]

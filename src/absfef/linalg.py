@@ -61,18 +61,19 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def eig_hermitian(h, tol=HERMITICITY_TOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Returns a :class:`Spectrum` with eigenvalues sorted in descending order.
-    Degenerate subspaces come back with an arbitrary orthonormal basis; no
-    canonicalization is attempted.
+    Raises :class:`DensityValidationError` when max |H - H^dag| exceeds
+    ``HERMITICITY_TOL``.  Returns a :class:`Spectrum` with eigenvalues sorted
+    in descending order.  Degenerate subspaces come back with an arbitrary
+    orthonormal basis; no canonicalization is attempted.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {h.shape}")
     asym = float(np.max(np.abs(h - h.conj().T)))
-    if asym > tol:
+    if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym,
                                      f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
     vals, vecs = np.linalg.eigh(h)  # ascending
@@ -145,17 +146,16 @@ class DensityMatrix:
         return float(np.real(np.sum(self.matrix * self.matrix.T)))
 
 
-def validate_density(m, dim_a, dim_b, tol=None):
+def validate_density(m, dim_a, dim_b):
     """Check the density-matrix invariants and wrap the matrix.
 
     Raises :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
-    trace or positivity fails beyond ``tol``.  The state keeps the Hermitian
-    part (M + M^dag)/2, and the positivity check computes its ``spectrum``.
+    trace or positivity fails beyond ``HERMITICITY_TOL``.  The state keeps
+    the Hermitian part (M + M^dag)/2, and the positivity check computes its
+    ``spectrum``.
     """
     m = np.asarray(m, dtype=complex)
-    if tol is None:
-        tol = HERMITICITY_TOL
     dim_a, dim_b = int(dim_a), int(dim_b)
     n = dim_a * dim_b
     if m.shape != (n, n):
@@ -167,15 +167,15 @@ def validate_density(m, dim_a, dim_b, tol=None):
         raise DensityValidationError("finiteness", float(bad),
                                      f"{bad} matrix entries are not finite")
     asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > tol:
+    if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym)
     trace_err = abs(complex(np.trace(m)) - 1.0)
-    if trace_err > tol:
+    if trace_err > HERMITICITY_TOL:
         raise DensityValidationError("trace", trace_err)
     h = 0.5 * (m + m.conj().T)
     h.setflags(write=False)
     rho = DensityMatrix(matrix=h, dim_a=dim_a, dim_b=dim_b)
     lam_min = float(rho.spectrum.eigenvalues[-1])
-    if lam_min < -tol:
+    if lam_min < -HERMITICITY_TOL:
         raise DensityValidationError("positivity", -lam_min)
     return rho

@@ -51,13 +51,13 @@ def _proj(ket):
     return np.outer(ket, np.conj(ket))
 
 
-def run_fixtures(restarts=None, seed=0, tol=1e-8):
+def run_fixtures(restarts=None, seed=0):
     """Run all fixtures; returns a list of :class:`FixtureResult`.
 
-    ``restarts``, ``seed`` and ``tol`` go to every FEF optimization, which
+    ``restarts`` and ``seed`` go to every FEF optimization, which
     raises :class:`DomainError` for an out-of-range value.
     """
-    opts = {"restarts": restarts, "seed": seed, "tol": tol}
+    opts = {"restarts": restarts, "seed": seed}
     out = []
     rho_x1 = states.x1()
     u1 = states.fixture_unitary("U1").matrix

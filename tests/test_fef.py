@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from absfef import states
 from absfef.errors import DomainError, MatrixShapeError
-from absfef.fef import (_MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS, _ascend,
-                        _haar_starts, canonical_ket, canonical_projector, fef,
-                        fef_lower_bound, fef_two_qubit_closed_form)
+from absfef.fef import (_EPS, _MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS,
+                        _ascend, _haar_starts, canonical_ket,
+                        canonical_projector, fef, fef_lower_bound,
+                        fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
 from helpers import ginibre_density, haar_unitary
 
@@ -103,7 +104,7 @@ def test_fef_isotropic_exact(d, beta):
         beta + (1 - beta) / d**2, abs=1e-12)
 
 
-def _ascent_reference(rho, restarts, seed=0, tol=1e-8):
+def _ascent_reference(rho, restarts, seed=0):
     """What fef returns when the ascent runs: (value, unitary, steps).
 
     Restart 0 starts at vec(X0), X0 = polar(reshape(v1)) for the top
@@ -114,7 +115,7 @@ def _ascent_reference(rho, restarts, seed=0, tol=1e-8):
     w, _, vh = np.linalg.svd(rho.spectrum.eigenvectors[:, 0].reshape(d, d))
     starts = np.vstack([(w @ vh).ravel(), _haar_starts(d, restarts - 1, seed)])
     x, values, steps, _ = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
-                                  starts, tol * 1e-3)
+                                  starts)
     best = int(np.argmax(values))
     value = min(values[best] + lam[-1], lam[0])
     unitary = x[best].reshape(d, d).T
@@ -175,7 +176,7 @@ def test_fef_ascent_path_unchanged(monkeypatch):
     for rho in rhos:
         evaluated.clear()
         res = fef(rho)
-        if res.upper_bound - res.value <= 1e-11:
+        if res.upper_bound - res.value <= _EPS:
             continue  # certified
         assert res.upper_bound == rho.spectrum.lambda_max
         restarts = DEFAULT_RESTARTS[rho.dim_a]
@@ -320,8 +321,7 @@ def test_fef_d2_every_haar_restart_reaches_closed_form():
     starts = _haar_starts(2, 19, 0)
     for rho in rhos:
         lam_min = np.linalg.eigvalsh(rho.matrix)[0]
-        _, values, _, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts,
-                                  1e-11)
+        _, values, _, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts)
         assert np.all(np.abs(values + lam_min
                              - fef_two_qubit_closed_form(rho)) < 1e-6)
 
@@ -379,15 +379,15 @@ def test_fef_upper_bound_brackets_value(d, rank, seed):
 
 
 def test_fef_dual_certificate_d2():
-    # A certified value (upper_bound within tol*1e-3 of it) is within
-    # tol*1e-3 of the exact FEF; the dual certifies most ascended states.
+    # A certified value (upper_bound within _EPS of it) is within _EPS of
+    # the exact FEF; the dual certifies most ascended states.
     rng = np.random.default_rng(41)
     by_dual = 0
     for rank in (1, 2, 3, 4):
         for _ in range(25):
             rho = _as_state(ginibre_density(rng, 4, rank), 2)
             res = fef(rho)
-            if res.upper_bound - res.value > 1e-11:
+            if res.upper_bound - res.value > _EPS:
                 continue
             assert res.converged
             assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-11
@@ -396,7 +396,7 @@ def test_fef_dual_certificate_d2():
 
 
 def test_fef_dual_certificate_d3_matches_full_stack():
-    # A certified d = 3 value is within tol*1e-3 of what the full 60-restart
+    # A certified d = 3 value is within _EPS of what the full 60-restart
     # stack reaches when no restart stops early.
     rng = np.random.default_rng(42)
     rhos = [_as_state(ginibre_density(rng, 9, rank), 3)
@@ -405,7 +405,7 @@ def test_fef_dual_certificate_d3_matches_full_stack():
     certified = 0
     for rho in rhos:
         res = fef(rho)
-        if res.iterations == 0 or res.upper_bound - res.value > 1e-11:
+        if res.iterations == 0 or res.upper_bound - res.value > _EPS:
             continue
         certified += 1
         full, _, _ = _ascent_reference(rho, DEFAULT_RESTARTS[3])
@@ -463,9 +463,6 @@ def test_fef_domain_errors():
     for restarts in (0, MAX_RESTARTS + 1):
         with pytest.raises(DomainError):
             fef(rho, restarts=restarts)
-    for tol in (-1, 0, float("nan")):
-        with pytest.raises(DomainError):
-            fef(rho, tol=tol)
     big = _as_state(np.eye(16, dtype=complex) / 16, 4)
     with pytest.raises(DomainError):
         fef(big)
