@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, MatrixShapeError
 from .fef import canonical_ket, fef
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, as_dim
 
 BOUNDARY_TOL = 1e-9
 #: Largest d :func:`purity_bounds` accepts: each witness spectrum holds d^2
@@ -174,7 +174,7 @@ def purity_bounds(d):
     non-member attains.  Raises :class:`DomainError` unless
     2 <= d <= :data:`MAX_PURITY_DIM`, before allocating anything.
     """
-    d = int(d)
+    d = as_dim(d)
     if not 2 <= d <= MAX_PURITY_DIM:
         raise DomainError(f"d must lie in [2, {MAX_PURITY_DIM}], got {d}")
     max_spec = np.zeros(d * d)

@@ -46,7 +46,8 @@ class OperatorBasis:
     """A fixed family of single-party Hermitian operators.
 
     ``norms`` holds the squared Hilbert-Schmidt norms Tr(B^dag B), used to
-    normalize decomposition coefficients.  The pauli and gellmann kinds are
+    normalize decomposition coefficients, and ``stacked`` the elements as
+    one (k, n, n) array.  The pauli and gellmann kinds are
     pairwise orthogonal; the polarization set is an (overcomplete) spanning
     set of 2x2 Hermitian space, not an orthogonal basis.
     """
@@ -55,21 +56,37 @@ class OperatorBasis:
     elements: tuple
     labels: tuple
     norms: tuple
+    stacked: np.ndarray
 
     @property
     def single_dim(self):
         return self.elements[0].shape[0]
 
 
-def operator_basis(kind):
-    """Return the named operator basis: pauli, gellmann or polarization."""
-    if kind == "pauli":
-        elements, labels = PAULI, PAULI_LABELS
-    elif kind == "gellmann":
-        elements, labels = GELLMANN, GELLMANN_LABELS
-    elif kind == "polarization":
-        elements, labels = POLARIZATION, POLARIZATION_LABELS
-    else:
-        raise DomainError(f"unknown basis kind {kind!r}")
+def _build(kind, elements, labels):
+    for b in elements:
+        b.setflags(write=False)
     norms = tuple(float(np.real(np.sum(np.conj(b) * b))) for b in elements)
-    return OperatorBasis(kind=kind, elements=elements, labels=labels, norms=norms)
+    stacked = np.array(elements)
+    stacked.setflags(write=False)
+    return OperatorBasis(kind=kind, elements=elements, labels=labels,
+                         norms=norms, stacked=stacked)
+
+
+_BASES = {
+    "pauli": _build("pauli", PAULI, PAULI_LABELS),
+    "gellmann": _build("gellmann", GELLMANN, GELLMANN_LABELS),
+    "polarization": _build("polarization", POLARIZATION, POLARIZATION_LABELS),
+}
+
+
+def operator_basis(kind):
+    """Return the named operator basis: pauli, gellmann or polarization.
+
+    Each kind is built once, at import, and every call returns that same
+    object; its arrays are read-only.
+    """
+    try:
+        return _BASES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown basis kind {kind!r}") from None

@@ -20,7 +20,7 @@ from . import absolute, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError
 from .fef import DEFAULT_RESTARTS, fef_lower_bound, require_supported_dim
 from .bloch import bloch_extract
-from .linalg import validate_density
+from .linalg import as_dim, validate_density
 from .reproduce import run_fixtures
 
 EXIT_FIXTURE_FAILURE = 1
@@ -115,8 +115,8 @@ def _load_state_file(path):
     needs = "state file needs 'dims' and 'matrix' fields"
     doc, matrix = _load_matrix_file(path, needs)
     try:
-        dim_a, dim_b = (int(v) for v in doc["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim_a, dim_b = (as_dim(v) for v in doc["dims"])
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise _format_error(f"{needs}: {exc}") from exc
     return validate_density(matrix, dim_a, dim_b)
 

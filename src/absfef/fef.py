@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MatrixShapeError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, as_dim
 
 #: Default restart counts per local dimension: the certificate's X0 plus Haar
 #: starts.  d = 2 has no spurious local maxima (module docstring), so one Haar
@@ -114,7 +114,7 @@ def require_supported_dim(d):
 
 
 def _local_dim(d):
-    d = int(d)
+    d = as_dim(d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     return d

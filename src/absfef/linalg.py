@@ -6,14 +6,28 @@ the ordering under which all fixture matrices in this package decode
 correctly.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DensityValidationError, MatrixShapeError
+from .errors import DensityValidationError, DomainError, MatrixShapeError
 
 HERMITICITY_TOL = 1e-10
+
+
+def as_dim(value):
+    """A dimension argument as a Python ``int``.
+
+    Accepts integers, numpy integers included, and raises
+    :class:`DomainError` for anything else, so that 2.5 is rejected rather
+    than truncated to 2.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"dimension must be an integer, got {value!r}") from None
 
 
 def kron(a, b):
@@ -76,6 +90,11 @@ def eig_hermitian(h):
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym,
                                      f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
+    return _eigh_descending(h)
+
+
+def _eigh_descending(h):
+    """:func:`eig_hermitian` without its checks, for a matrix known to be Hermitian."""
     vals, vecs = np.linalg.eigh(h)  # ascending
     return Spectrum(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
 
@@ -99,7 +118,7 @@ def partial_trace(m, dims, drop):
         tensor order.
     """
     m = np.asarray(m, dtype=complex)
-    dims = [int(d) for d in dims]
+    dims = [as_dim(d) for d in dims]
     n = int(np.prod(dims))
     if m.shape != (n, n):
         raise MatrixShapeError(
@@ -135,8 +154,11 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self):
-        """Descending :class:`Spectrum` of ``matrix``, computed once (read-only)."""
-        spec = eig_hermitian(self.matrix)
+        """Descending :class:`Spectrum` of ``matrix``, computed once (read-only).
+
+        ``matrix`` is Hermitian by construction, so it is not scanned again.
+        """
+        spec = _eigh_descending(self.matrix)
         spec.eigenvalues.setflags(write=False)
         spec.eigenvectors.setflags(write=False)
         return spec
@@ -149,14 +171,15 @@ class DensityMatrix:
 def validate_density(m, dim_a, dim_b):
     """Check the density-matrix invariants and wrap the matrix.
 
-    Raises :class:`DensityValidationError` naming the violated invariant and
+    Raises :class:`DomainError` unless both dims are integers, and
+    :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
     trace or positivity fails beyond ``HERMITICITY_TOL``.  The state keeps
     the Hermitian part (M + M^dag)/2, and the positivity check computes its
     ``spectrum``.
     """
     m = np.asarray(m, dtype=complex)
-    dim_a, dim_b = int(dim_a), int(dim_b)
+    dim_a, dim_b = as_dim(dim_a), as_dim(dim_b)
     n = dim_a * dim_b
     if m.shape != (n, n):
         raise MatrixShapeError(

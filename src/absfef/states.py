@@ -13,7 +13,7 @@ import numpy as np
 from .bases import PAULI
 from .errors import DomainError
 from .fef import canonical_ket, canonical_projector
-from .linalg import DensityMatrix, kron, validate_density
+from .linalg import DensityMatrix, as_dim, kron, validate_density
 from .tripartite import ghzw_marginal, ghzw_state
 
 max_entangled = canonical_ket
@@ -49,7 +49,7 @@ def y3(q):
 
 def isotropic(d, beta):
     """Isotropic state: beta |psi+><psi+| + (1-beta)/d^2 I."""
-    d = int(d)
+    d = as_dim(d)
     p = canonical_projector(d)  # raises unless d >= 2
     beta = float(beta)
     lo = -1.0 / (d * d - 1)

@@ -6,6 +6,7 @@ S = U^dag W U satisfies Tr(S rho) = Tr(W U rho U^dag) and stays nonnegative
 on every absolute-FEF state.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,7 +15,7 @@ import numpy as np
 from .bases import operator_basis
 from .errors import DomainError, MatrixShapeError
 from .fef import canonical_projector
-from .linalg import DensityMatrix, kron
+from .linalg import DensityMatrix, as_dim, kron
 
 _HERM_TOL = 1e-12
 _UNITARY_TOL = 1e-10
@@ -35,7 +36,7 @@ def teleportation_witness(d):
     Tr(W sigma) >= 0 for every sigma with FEF <= 1/d, and W detects states
     aligned with |psi+> beyond the threshold.
     """
-    d = int(d)
+    d = as_dim(d)
     w = np.eye(d * d, dtype=complex) / d - canonical_projector(d)
     return WitnessOperator(matrix=w, base_dim=d)
 
@@ -75,10 +76,35 @@ class BasisDecomposition:
 
     def reconstruct(self):
         """H = sum_ab c_ab B_a (x) B_b, the inverse of :func:`decompose`."""
-        b = np.array(operator_basis(self.basis_kind).elements)
+        b = operator_basis(self.basis_kind).stacked
         n = b.shape[1]
         h = np.einsum("ab,aik,bjl->ijkl", self.coefficients, b, b)
         return h.reshape(n * n, n * n)
+
+
+@functools.cache
+def _conj_products(kind):
+    """conj(B_i (x) B_j) over one basis kind, shape (k, k, n^2, n^2).
+
+    Built once per process and read-only.
+    """
+    b = operator_basis(kind).elements
+    p = np.array([[np.conj(kron(bi, bj)) for bj in b] for bi in b])
+    p.setflags(write=False)
+    return p
+
+
+@functools.cache
+def _realified_design(kind):
+    """[Re; Im] of the columns vec(B_i (x) B_j), the real least-squares matrix.
+
+    Built once per process and read-only.
+    """
+    b = operator_basis(kind).elements
+    cols = np.column_stack([kron(bi, bj).ravel() for bi in b for bj in b])
+    a = np.vstack([cols.real, cols.imag])
+    a.setflags(write=False)
+    return a
 
 
 def decompose(h, basis_kind):
@@ -100,20 +126,16 @@ def decompose(h, basis_kind):
         raise DomainError("operator must be Hermitian")
     k = len(basis.elements)
     if basis_kind == "polarization":
-        cols = np.column_stack([
-            kron(basis.elements[i], basis.elements[j]).ravel()
-            for i in range(k) for j in range(k)])
         # real coefficients: solve the realified system for the min-norm solution
-        a = np.vstack([cols.real, cols.imag])
         b = np.concatenate([h.ravel().real, h.ravel().imag])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+        coef, *_ = np.linalg.lstsq(_realified_design(basis_kind), b, rcond=None)
         coeffs = coef.reshape(k, k)
     else:
+        conj_products = _conj_products(basis_kind)
         coeffs = np.empty((k, k))
         for i in range(k):
             for j in range(k):
-                bij = kron(basis.elements[i], basis.elements[j])
-                val = complex(np.sum(np.conj(bij) * h))
+                val = complex(np.sum(conj_products[i, j] * h))
                 coeffs[i, j] = val.real / (basis.norms[i] * basis.norms[j])
     return BasisDecomposition(basis_kind=basis_kind, coefficients=coeffs,
                               labels=basis.labels)

@@ -136,8 +136,12 @@ def test_purity_bounds_values():
     pb3 = absolute.purity_bounds(3)
     assert pb3.max_purity_absolute == pytest.approx(1 / 3, abs=1e-12)
     assert pb3.min_purity_nonabsolute == pytest.approx(1 / 6, abs=1e-12)
-    with pytest.raises(DomainError):
-        absolute.purity_bounds(1)
+    for bad in (1, 2.5):
+        with pytest.raises(DomainError):
+            absolute.purity_bounds(bad)
+    pb3_np = absolute.purity_bounds(np.int64(3))
+    assert type(pb3_np.d) is int
+    assert pb3_np.max_purity_absolute == pb3.max_purity_absolute
 
 
 @settings(max_examples=60, deadline=None)

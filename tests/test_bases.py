@@ -57,6 +57,17 @@ def test_polarization_projectors_span_hermitian_space():
     assert np.linalg.matrix_rank(vecs) == 4
 
 
+@pytest.mark.parametrize("kind", ["pauli", "gellmann", "polarization"])
+def test_operator_basis_is_built_once_and_read_only(kind):
+    basis = operator_basis(kind)
+    assert operator_basis(kind) is basis
+    assert np.array_equal(basis.stacked, np.array(basis.elements))
+    for arr in (basis.stacked, *basis.elements):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
+
+
 def test_unknown_basis_kind():
-    with pytest.raises(DomainError):
-        operator_basis("spherical")
+    for kind in ("spherical", ["pauli"], None):
+        with pytest.raises(DomainError):
+            operator_basis(kind)

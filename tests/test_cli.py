@@ -95,6 +95,10 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     _write_state(path3, np.full((4, 4), np.nan), (2, 2))  # json writes NaN
     res = runner.invoke(main, ["analyze", "--input", str(path3)])
     assert res.exit_code == 2
+    path4 = tmp_path / "fractional_dims.json"
+    _write_state(path4, np.eye(4) / 4, (2.5, 2.9))  # not truncated to 2x2
+    res = runner.invoke(main, ["analyze", "--input", str(path4)])
+    assert res.exit_code == 2
 
 
 def test_analyze_missing_file_exit_5(runner, tmp_path):
@@ -415,6 +419,7 @@ _GOLDEN = Path(__file__).parent / "golden"
     ("witness_y3_q0.2", ["witness", "--family", "y3", "--q", "0.2"]),
     ("json_analyze_x1", ["--json", "analyze", "--family", "x1"]),
     ("scan_ghzw", ["scan", "--family", "ghzw", "--range", "0:1:0.25"]),
+    ("json_witness_y3_q0.2", ["--json", "witness", "--family", "y3", "--q", "0.2"]),
 ])
 def test_default_stdout_is_golden(runner, name, args):
     res = runner.invoke(main, args)

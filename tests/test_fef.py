@@ -31,8 +31,10 @@ def test_canonical_ket():
         psi = canonical_ket(d)
         assert np.max(np.abs(p - np.outer(psi, psi.conj()))) < 1e-15
     for build in (canonical_ket, canonical_projector):
-        with pytest.raises(DomainError):
-            build(1)
+        for bad in (1, 2.5):
+            with pytest.raises(DomainError):
+                build(bad)
+        assert np.array_equal(build(np.int64(3)), build(3))
 
 
 def test_lower_bound_matches_overlap():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from absfef.errors import DensityValidationError, MatrixShapeError
+from absfef.errors import DensityValidationError, DomainError, MatrixShapeError
 from absfef.linalg import (DensityMatrix, eig_hermitian, hs_inner, kron,
                            partial_trace, validate_density)
 from helpers import ginibre_density
@@ -165,3 +165,23 @@ def test_validate_density_names_invariant(m, invariant):
 def test_validate_density_shape():
     with pytest.raises(MatrixShapeError):
         validate_density(np.eye(4) / 4, 2, 3)
+
+
+def test_dimensions_must_be_integers():
+    for dims in ((2.5, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(DomainError):
+            validate_density(np.eye(4) / 4, *dims)
+        with pytest.raises(DomainError):
+            partial_trace(np.eye(4) / 4, dims, 0)
+    rho = validate_density(np.eye(4) / 4, np.int64(2), np.int64(2))
+    assert type(rho.dim_a) is int and rho.dim == 4
+
+
+def test_density_spectrum_is_eig_hermitian_bitwise():
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        for _ in range(20):
+            rho = validate_density(ginibre_density(rng, d * d), d, d)
+            want = eig_hermitian(rho.matrix)
+            assert np.array_equal(rho.spectrum.eigenvalues, want.eigenvalues)
+            assert np.array_equal(rho.spectrum.eigenvectors, want.eigenvectors)

@@ -60,6 +60,11 @@ def test_isotropic_limits_and_domain():
         states.isotropic(2, -0.5)
     with pytest.raises(DomainError):
         states.isotropic(2, 1.5)
+    for bad in (2.5, 2.7):
+        with pytest.raises(DomainError):
+            states.isotropic(bad, 0.3)
+    assert np.array_equal(states.isotropic(np.int64(3), 0.3).matrix,
+                          states.isotropic(3, 0.3).matrix)
 
 
 def test_comp_diag_and_domain():

@@ -21,8 +21,11 @@ def test_teleportation_witness_structure():
         eigs = np.sort(np.linalg.eigvalsh(m))
         assert eigs[0] == pytest.approx(1 / d - 1, abs=1e-12)
         assert eigs[-1] == pytest.approx(1 / d, abs=1e-12)
-    with pytest.raises(DomainError):
-        witness.teleportation_witness(1)
+    for bad in (1, 2.5, 2.9):
+        with pytest.raises(DomainError):
+            witness.teleportation_witness(bad)
+    assert np.array_equal(witness.teleportation_witness(np.int64(3)).matrix,
+                          witness.teleportation_witness(3).matrix)
 
 
 def test_pullback_checks_unitarity_and_shape():
@@ -130,12 +133,33 @@ def _decompose_with_np_kron(h, kind):
                                      ("polarization", 2)])
 def test_decompose_bitwise_matches_np_kron_reference(kind, n):
     rng = np.random.default_rng(34)
-    for _ in range(10):
+    for _ in range(50):
         g = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
         h = g + g.conj().T
         got = witness.decompose(h, kind).coefficients
         want = _decompose_with_np_kron(h, kind)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3),
+                                     ("polarization", 2)])
+def test_decompose_results_do_not_alias_the_cache(kind, n):
+    cached = (witness._realified_design(kind) if kind == "polarization"
+              else witness._conj_products(kind))
+    with pytest.raises(ValueError):
+        cached[(0,) * cached.ndim] = 9.0
+    h = np.diag(np.arange(n * n, dtype=float))
+    dec = witness.decompose(h, kind)
+    want = dec.coefficients.copy()
+    back = dec.reconstruct()
+    for arr in (dec.coefficients, back):
+        assert not np.shares_memory(arr, cached)
+        assert not np.shares_memory(arr, operator_basis(kind).stacked)
+    dec.coefficients[:] = 9.0
+    back[:] = 9.0
+    again = witness.decompose(h, kind)
+    assert np.array_equal(again.coefficients, want)
+    assert np.max(np.abs(again.reconstruct() - h)) < 1e-10
 
 
 def test_decompose_s1_pauli_pattern():
