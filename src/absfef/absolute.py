@@ -90,6 +90,8 @@ def is_absolutely_separable_2q(spectrum):
     lam = np.asarray(spectrum, dtype=float)
     if lam.shape != (4,):
         raise DomainError(f"expected 4 eigenvalues, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise DomainError(f"eigenvalues must be finite, got {lam.tolist()}")
     if np.any(lam < -1e-12):
         raise DomainError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 1e-12):

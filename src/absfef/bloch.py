@@ -5,6 +5,7 @@ Conventions: rho = I/4 + (1/2) sum a_i s_i (x) I + (1/2) sum b_j I (x) s_j
 t_ij = Tr(rho s_i (x) s_j)/4.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,6 +59,9 @@ def classI_membership(t11, t22, t33):
     largest combination of the correlations stays at or below 1/4.
     """
     t11, t22, t33 = float(t11), float(t22), float(t33)
+    if not all(map(math.isfinite, (t11, t22, t33))):
+        raise DomainError(f"correlations must be finite, got "
+                          f"({t11}, {t22}, {t33})")
     eigs = (
         0.25 * (1 - 4 * (t11 + t22 + t33)),
         0.25 * (1 + 4 * (t11 + t22 - t33)),
@@ -82,6 +86,8 @@ def classII_membership(a, b, c, d):
     equivalent to max(a, b, c, d) <= 1/2.  Weights need not be ordered.
     """
     w = np.array([a, b, c, d], dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < -1e-12):
         raise DomainError("weights must be nonnegative")
     if abs(w.sum() - 1) > 1e-12:

@@ -75,17 +75,30 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
+def _check_finite(m):
+    """Raise :class:`DensityValidationError` if an entry of ``m`` is NaN or inf.
+
+    NaN compares false against every tolerance, so callers check this first.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        raise DensityValidationError("finiteness", float(bad),
+                                     f"{bad} matrix entries are not finite")
+
+
 def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises :class:`DensityValidationError` when max |H - H^dag| exceeds
-    ``HERMITICITY_TOL``.  Returns a :class:`Spectrum` with eigenvalues sorted
-    in descending order.  Degenerate subspaces come back with an arbitrary
-    orthonormal basis; no canonicalization is attempted.
+    Raises :class:`DensityValidationError` when an entry is not finite or
+    max |H - H^dag| exceeds ``HERMITICITY_TOL``.  Returns a
+    :class:`Spectrum` with eigenvalues sorted in descending order.
+    Degenerate subspaces come back with an arbitrary orthonormal basis; no
+    canonicalization is attempted.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {h.shape}")
+    _check_finite(h)
     asym = float(np.max(np.abs(h - h.conj().T)))
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym,
@@ -184,11 +197,7 @@ def validate_density(m, dim_a, dim_b):
     if m.shape != (n, n):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match dims {dim_a}x{dim_b}")
-    # NaN compares false against every tolerance below, so check it first.
-    bad = int(np.count_nonzero(~np.isfinite(m)))
-    if bad:
-        raise DensityValidationError("finiteness", float(bad),
-                                     f"{bad} matrix entries are not finite")
+    _check_finite(m)
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym)

@@ -42,14 +42,19 @@ def teleportation_witness(d):
 
 
 def pullback(w: WitnessOperator, u):
-    """Conjugate a witness by a global unitary: S = U^dag W U."""
+    """Conjugate a witness by a global unitary: S = U^dag W U.
+
+    A ``u`` with a NaN or inf entry, or one that is not unitary, raises
+    :class:`DomainError`.
+    """
     u = np.asarray(u, dtype=complex)
     n = w.matrix.shape[0]
     if u.shape != (n, n):
         raise MatrixShapeError(f"unitary of shape {u.shape} does not match "
                                f"witness dimension {n}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if dev > _UNITARY_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    if not dev <= _UNITARY_TOL:  # NaN fails too
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
     s = u.conj().T @ w.matrix @ u
     return WitnessOperator(matrix=s, base_dim=w.base_dim, pullback_unitary=u)
@@ -95,6 +100,18 @@ def _conj_products(kind):
 
 
 @functools.cache
+def _norm_products(kind):
+    """The (k, k) matrix of norm products Tr(B_i^dag B_i) Tr(B_j^dag B_j).
+
+    Built once per process and read-only.
+    """
+    norms = operator_basis(kind).norms
+    p = np.outer(norms, norms)
+    p.setflags(write=False)
+    return p
+
+
+@functools.cache
 def _realified_design(kind):
     """[Re; Im] of the columns vec(B_i (x) B_j), the real least-squares matrix.
 
@@ -113,7 +130,8 @@ def decompose(h, basis_kind):
     For the orthogonal kinds (pauli, gellmann) the coefficients are the
     normalized Hilbert-Schmidt overlaps; for the overcomplete polarization
     set they are the minimum-norm least-squares solution.  Coefficients are
-    real; reconstruction is exact to 1e-10.
+    real; reconstruction is exact to 1e-10.  An operator with a NaN or inf
+    entry, or one that is not Hermitian, raises :class:`DomainError`.
     """
     h = np.asarray(h, dtype=complex)
     basis = operator_basis(basis_kind)
@@ -122,20 +140,22 @@ def decompose(h, basis_kind):
         raise MatrixShapeError(
             f"operator of shape {h.shape} does not match the {basis_kind} "
             f"basis dimension {n * n}")
-    if float(np.max(np.abs(h - h.conj().T))) > _HERM_TOL:
-        raise DomainError("operator must be Hermitian")
-    k = len(basis.elements)
+    with np.errstate(invalid="ignore"):
+        asym = float(np.max(np.abs(h - h.conj().T)))
+    if not asym <= _HERM_TOL:  # NaN fails too
+        raise DomainError(f"operator must be finite and Hermitian: "
+                          f"max |H - H^dag| = {asym:.3e}")
     if basis_kind == "polarization":
         # real coefficients: solve the realified system for the min-norm solution
         b = np.concatenate([h.ravel().real, h.ravel().imag])
         coef, *_ = np.linalg.lstsq(_realified_design(basis_kind), b, rcond=None)
+        k = len(basis.elements)
         coeffs = coef.reshape(k, k)
     else:
-        conj_products = _conj_products(basis_kind)
-        coeffs = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                val = complex(np.sum(conj_products[i, j] * h))
-                coeffs[i, j] = val.real / (basis.norms[i] * basis.norms[j])
+        # the product takes the stack's C order whatever the layout of h,
+        # so each (i, j) reduces one contiguous run of n^4 entries with the
+        # same pairwise summation as np.sum of that single n^2 x n^2 product
+        overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
+        coeffs = overlaps.real / _norm_products(basis_kind)
     return BasisDecomposition(basis_kind=basis_kind, coefficients=coeffs,
                               labels=basis.labels)

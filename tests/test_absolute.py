@@ -92,6 +92,12 @@ def test_absolutely_separable_2q():
         absolute.is_absolutely_separable_2q([0.5, 0.3, 0.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_absolutely_separable_2q_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        absolute.is_absolutely_separable_2q([bad, 0.3, 0.2, 0.1])
+
+
 def test_classify_labels():
     assert absolute.classify(states.x1()).label == absolute.LABEL_ACTIVATABLE
     assert absolute.classify(states.isotropic(2, 0.9)).label == absolute.LABEL_USEFUL

@@ -59,6 +59,12 @@ def test_classI_rejects_invalid():
         classI_membership(0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classI_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        classI_membership(bad, 0, 0)
+
+
 def test_classI_werner_boundary():
     # Werner correlations t = (-p/4, -p/4, -p/4): member iff p <= 1/3
     assert classI_membership(*[-(1 / 3) / 4] * 3).member
@@ -87,3 +93,9 @@ def test_classII_domain():
         classII_membership(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(DomainError):
         classII_membership(0.4, 0.4, 0.4, 0.4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classII_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        classII_membership(bad, 0, 0, 0)

@@ -261,6 +261,20 @@ def test_witness_malformed_unitary_exit_2(runner, tmp_path, text):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_witness_non_finite_unitary_exit_3(runner, tmp_path, bad):
+    u = states.fixture_unitary("U1").matrix
+    rows = [[[float(v.real), float(v.imag)] for v in row] for row in u]
+    rows[0][1][0] = bad
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"matrix": rows}))  # json writes NaN, Infinity
+    res = runner.invoke(main, ["witness", "--family", "x1",
+                               "--unitary", str(path)])
+    assert res.exit_code == 3
+    assert "not unitary" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_witness_without_local_basis_exit_3(runner, tmp_path):
     # activatable 4 x 4 state: lambda_max 0.7 > 1/4, but no 4 x 4 local basis
     lam = np.full(16, 0.3 / 15)
@@ -420,6 +434,7 @@ _GOLDEN = Path(__file__).parent / "golden"
     ("json_analyze_x1", ["--json", "analyze", "--family", "x1"]),
     ("scan_ghzw", ["scan", "--family", "ghzw", "--range", "0:1:0.25"]),
     ("json_witness_y3_q0.2", ["--json", "witness", "--family", "y3", "--q", "0.2"]),
+    ("json_witness_x1", ["--json", "witness", "--family", "x1"]),
 ])
 def test_default_stdout_is_golden(runner, name, args):
     res = runner.invoke(main, args)

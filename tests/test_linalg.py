@@ -87,6 +87,16 @@ def test_eig_hermitian_rejects_non_hermitian():
     assert exc.value.invariant == "hermiticity"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_hermitian_rejects_non_finite_entries(bad):
+    # eigh reads one triangle only, so a NaN above the diagonal went unseen
+    h = np.eye(4, dtype=complex) / 4
+    h[0, 1] = bad
+    with pytest.raises(DensityValidationError) as exc:
+        eig_hermitian(h)
+    assert (exc.value.invariant, exc.value.magnitude) == ("finiteness", 1.0)
+
+
 def test_partial_trace_traces_and_linearity():
     rng = np.random.default_rng(2)
     a = ginibre_density(rng, 8)

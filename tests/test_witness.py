@@ -28,6 +28,19 @@ def test_teleportation_witness_structure():
                           witness.teleportation_witness(3).matrix)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (2, 2)])
+def test_non_finite_input_fails_both_tolerance_checks(bad, where):
+    u = np.array(states.fixture_unitary("U1").matrix)
+    u[where] = bad
+    with pytest.raises(DomainError):
+        witness.pullback(witness.teleportation_witness(2), u)
+    h = np.eye(4, dtype=complex)
+    h[where] = bad
+    with pytest.raises(DomainError):
+        witness.decompose(h, "pauli")
+
+
 def test_pullback_checks_unitarity_and_shape():
     w = witness.teleportation_witness(2)
     with pytest.raises(MatrixShapeError):
@@ -139,6 +152,34 @@ def test_decompose_bitwise_matches_np_kron_reference(kind, n):
         got = witness.decompose(h, kind).coefficients
         want = _decompose_with_np_kron(h, kind)
         assert got.tobytes() == want.tobytes()
+
+
+def _layouts(h):
+    """``h`` as Fortran-ordered, transposed and strided views, all equal."""
+    n = h.shape[0]
+    wide = np.zeros((2 * n, 3 * n), dtype=complex)
+    wide[::2, ::3] = h
+    return {"fortran": np.asfortranarray(h),
+            "transposed": np.ascontiguousarray(h.T).T,
+            "strided": wide[::2, ::3],
+            "fortran_strided": np.asfortranarray(wide)[::2, ::3]}
+
+
+@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3)])
+def test_decompose_is_bitwise_in_every_memory_layout(kind, n):
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        g = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        h = (g + g.conj().T) * 10.0 ** rng.uniform(-8, 8)
+        want = _decompose_with_np_kron(h, kind).tobytes()
+        for name, view in _layouts(h).items():
+            assert np.array_equal(view, h)
+            got = witness.decompose(view, kind).coefficients
+            assert got.tobytes() == want, name
+        rho = validate_density(ginibre_density(rng, n * n), n, n)
+        assert not rho.matrix.flags.writeable
+        assert (witness.decompose(rho.matrix, kind).coefficients.tobytes()
+                == _decompose_with_np_kron(rho.matrix, kind).tobytes())
 
 
 @pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3),
