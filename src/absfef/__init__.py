@@ -16,8 +16,8 @@ from .errors import (AbsFefError, DensityValidationError, DomainError,
 from .fef import FefResult, fef, fef_lower_bound, fef_two_qubit_closed_form
 from .linalg import (DensityMatrix, Spectrum, eig_hermitian, hs_inner, kron,
                      partial_trace, validate_density)
-from .states import (FamilySpec, FixtureUnitary, conjugate, construct,
-                     fixture_unitary, max_entangled)
+from .states import (FixtureUnitary, conjugate, construct, fixture_unitary,
+                     max_entangled)
 from .tripartite import (AcinParams, MarginalReport, acin_marginal, acin_state,
                          ghzw_marginal, three_qutrit_marginal)
 from .witness import (BasisDecomposition, WitnessOperator, decompose, evaluate,

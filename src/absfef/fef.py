@@ -329,16 +329,20 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     when the lambda_max certificate ran no ascent.
 
     Raises :class:`MatrixShapeError` for a non-square bipartition and
-    :class:`DomainError` for d outside {2, 3}, ``restarts`` outside
-    [1, MAX_RESTARTS] or a ``seed`` that is not an integer >= 0, before any
-    computation.
+    :class:`DomainError` for d outside {2, 3}, ``restarts`` that is not an
+    integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer >= 0,
+    before any computation.
     """
     lower = fef_lower_bound(rho)  # raises unless the bipartition is square
     d = rho.dim_a
     require_supported_dim(d)
     if restarts is None:
         restarts = DEFAULT_RESTARTS[d]
-    restarts = int(restarts)
+    try:
+        restarts = operator.index(restarts)
+    except TypeError:
+        raise DomainError(
+            f"restarts must be an integer, got {restarts!r}") from None
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(
             f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")

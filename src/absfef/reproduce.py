@@ -164,9 +164,9 @@ def run_fixtures(restarts=None, seed=0):
     out.append(_value("fef.y3.q0.2", y3_expected, y3_fef, 1e-6))
     out.append(_bool("fef.y3.q0.2.below_threshold", True, y3_fef <= 1 / 3 + 1e-9))
     for d in (2, 3):
-        spec = states.FamilySpec("max_entangled", {"d": d})
+        rho = states.construct("max_entangled", d=d)
         out.append(_value(f"fef.max_entangled.d{d}", 1.0,
-                          fef(states.construct(spec), **opts).value, 1e-13))
+                          fef(rho, **opts).value, 1e-13))
     out.append(_value("fef.closed_form.x1", 0.5,
                       fef_two_qubit_closed_form(rho_x1), 1e-12))
 

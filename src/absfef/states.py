@@ -5,7 +5,7 @@ instances (or plain unit-norm columns for pure states) and raise
 :class:`~absfef.errors.DomainError` on out-of-domain parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -64,9 +64,10 @@ def comp_diag(weights):
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise DomainError(f"expected 4 diagonal weights, got {w.shape}")
-    if np.any(w < -1e-12):
-        raise DomainError("diagonal weights must be nonnegative")
-    if abs(w.sum() - 1) > 1e-12:
+    if not np.all(w >= -1e-12):  # NaN fails too
+        raise DomainError(f"diagonal weights must be nonnegative, "
+                          f"got {w.tolist()}")
+    if not abs(w.sum() - 1) <= 1e-12:
         raise DomainError(f"diagonal weights must sum to 1, got {w.sum()!r}")
     return validate_density(np.diag(w).astype(complex), 2, 2)
 
@@ -110,52 +111,55 @@ def af_not_as_example():
 
 class Family(NamedTuple):
     """A state family: its builder, the builder's parameter names in call
-    order, and the parameter that ``scan`` sweeps (None if it sweeps none)."""
+    order, the parameter that ``scan`` sweeps (None if it sweeps none) and
+    the default value of each optional parameter."""
 
     build: Callable
     params: tuple = ()
     sweep: Optional[str] = None
+    defaults: dict = {}
 
 
-# The one table of named families; the CLI's --family help, its parameter
-# handling and scan's choices all read it.  Insertion order is display order.
+# The one table of named families; construct, the CLI's --family help and
+# scan's choices all read it.  Insertion order is display order.
 FAMILIES = {
     "x1": Family(x1),
     "x2": Family(x2, ("q",), "q"),
     "y3": Family(y3, ("q",), "q"),
-    "isotropic": Family(isotropic, ("d", "beta"), "beta"),
+    "isotropic": Family(isotropic, ("d", "beta"), "beta", {"d": 2}),
     "comp_diag": Family(comp_diag, ("weights",)),
-    "bell_diag": Family(bell_diag, ("t11", "t22", "t33")),
+    "bell_diag": Family(bell_diag, ("t11", "t22", "t33"), None,
+                        {"t11": 0, "t22": 0, "t33": 0}),
     "ghz": Family(ghz),
     "w": Family(w),
     "af_not_as_example": Family(af_not_as_example),
-    "max_entangled": Family(lambda d: isotropic(d, 1), ("d",)),
+    "max_entangled": Family(lambda d: isotropic(d, 1), ("d",), None, {"d": 2}),
     "ghzw": Family(lambda p: ghzw_marginal(p).marginal, ("p",), "p"),
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named state family together with its parameters."""
+def construct(family, /, **params):
+    """Build the density matrix of the named family from its parameters.
 
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}; "
-                              f"expected one of {tuple(FAMILIES)}")
-
-
-def construct(spec):
-    """Build the density matrix of a :class:`FamilySpec`.
-
-    Parameters the family does not take are ignored; a missing one raises
-    ``KeyError`` naming it.
+    A parameter left out takes the family's default.  Raises
+    :class:`DomainError` for an unknown family, a parameter the family does
+    not take and a missing parameter that has no default, before the
+    builder runs.
     """
-    family = FAMILIES[spec.family]
-    params = {"d": 2, **spec.params}  # the local dimension defaults to 2
-    return family.build(*(params[name] for name in family.params))
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}; "
+                          f"expected one of {tuple(FAMILIES)}")
+    spec = FAMILIES[family]
+    foreign = [name for name in params if name not in spec.params]
+    if foreign:
+        takes = ", ".join(spec.params) or "no parameters"
+        raise DomainError(f"family {family} does not take "
+                          f"{', '.join(foreign)}; it takes {takes}")
+    params = {**spec.defaults, **params}
+    for name in spec.params:
+        if name not in params:
+            raise DomainError(f"family {family!r} is missing parameter {name!r}")
+    return spec.build(*(params[name] for name in spec.params))
 
 
 _S2 = np.sqrt(2)

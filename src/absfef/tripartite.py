@@ -34,10 +34,10 @@ class AcinParams:
         object.__setattr__(self, "theta", float(self.theta))
         if len(x) != 5:
             raise DomainError(f"expected 5 amplitudes, got {len(x)}")
-        if any(v < 0 for v in x):
-            raise DomainError("amplitudes must be nonnegative")
+        if not all(v >= 0 for v in x):  # NaN fails too
+            raise DomainError(f"amplitudes must be nonnegative, got {x}")
         norm = sum(v * v for v in x)
-        if abs(norm - 1) > 1e-12:
+        if not abs(norm - 1) <= 1e-12:
             raise DomainError(f"amplitudes must satisfy sum x_i^2 = 1, got {norm!r}")
         if not 0 <= self.theta <= math.pi:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
@@ -139,7 +139,8 @@ def ghzw_marginal(p):
 def three_qutrit_state(alpha, beta):
     """Mixture of GHZ3, the fully antisymmetric-pattern pure state and white noise."""
     alpha, beta = float(alpha), float(beta)
-    if alpha < -1e-12 or beta < -1e-12 or alpha + beta > 1 + 1e-12:
+    if not (alpha >= -1e-12 and beta >= -1e-12
+            and alpha + beta <= 1 + 1e-12):  # NaN fails too
         raise DomainError(
             f"(alpha, beta) = ({alpha}, {beta}) outside the valid mixture triangle")
     g = np.zeros(27, dtype=complex)

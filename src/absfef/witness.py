@@ -7,6 +7,7 @@ on every absolute-FEF state.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,13 +62,18 @@ def pullback(w: WitnessOperator, u):
 
 
 def evaluate(s: WitnessOperator, rho: DensityMatrix):
-    """Expectation Tr(S rho); real for Hermitian S."""
+    """Expectation Tr(S rho); real for Hermitian S.
+
+    An expectation that is not finite, or not real within 1e-10, raises
+    :class:`DomainError`.
+    """
     if s.matrix.shape != rho.matrix.shape:
         raise MatrixShapeError(f"witness shape {s.matrix.shape} does not match "
                                f"state shape {rho.matrix.shape}")
-    val = complex(np.sum(s.matrix * rho.matrix.T))
-    if abs(val.imag) > 1e-10:
-        raise DomainError(f"expectation has imaginary part {val.imag:.3e}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = complex(np.sum(s.matrix * rho.matrix.T))
+    if not (math.isfinite(val.real) and abs(val.imag) <= 1e-10):  # NaN fails
+        raise DomainError(f"expectation {val} is not a finite real number")
     return float(val.real)
 
 

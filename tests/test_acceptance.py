@@ -103,8 +103,7 @@ def test_criterion_02_fef_fixture_values():
     _check(failures, v <= 1 / 3 + 1e-9,
            f"FEF(Y3(0.2)) = {v!r} exceeds the 1/3 threshold")
     for d in (2, 3):
-        spec = states.FamilySpec("max_entangled", {"d": d})
-        v = fef(states.construct(spec)).value
+        v = fef(states.construct("max_entangled", d=d)).value
         _check(failures, abs(v - 1.0) <= 1e-6, f"FEF(phi{d}+) = {v!r} != 1")
     _report(2, "optimizer reproduces quoted FEF values", failures)
 

@@ -140,16 +140,16 @@ def test_analyze_domain_error_exit_3(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("args, foreign, takes", [
-    (["analyze", "--family", "x1", "--d", "3"], "--d", "no options"),
-    (["analyze", "--family", "x2", "--q", "0.3", "--beta", "0.5"], "--beta",
-     "--q"),
-    (["witness", "--family", "ghzw", "--p", "0.3", "--q", "0.5"], "--q", "--p"),
+    (["analyze", "--family", "x1", "--d", "3"], "d", "no parameters"),
+    (["analyze", "--family", "x2", "--q", "0.3", "--beta", "0.5"], "beta",
+     "q"),
+    (["witness", "--family", "ghzw", "--p", "0.3", "--q", "0.5"], "q", "p"),
     (["analyze", "--family", "bell_diag", "--t11", "0.1", "--weights", "1"],
-     "--weights", "--t11, --t22, --t33"),
+     "weights", "t11, t22, t33"),
     (["analyze", "--family", "max_entangled", "--d", "3", "--beta", "0.5"],
-     "--beta", "--d"),
-    (["scan", "--family", "x2", "--d", "3", "--range", "0:1:0.5"], "--d",
-     "--q"),
+     "beta", "d"),
+    (["scan", "--family", "x2", "--d", "3", "--range", "0:1:0.5"], "d",
+     "q"),
 ], ids=["x1-d", "x2-beta", "ghzw-q", "bell_diag-weights", "max_entangled-beta",
         "scan-x2-d"])
 def test_foreign_family_option_exit_3(runner, args, foreign, takes):
@@ -159,6 +159,26 @@ def test_foreign_family_option_exit_3(runner, args, foreign, takes):
     assert res.stdout == ""
     assert res.stderr == (f"error: family {family} does not take {foreign}; "
                           f"it takes {takes}\n")
+
+
+def test_bell_diag_t_defaults_to_zero(runner):
+    res = runner.invoke(main, ["--json", "analyze", "--family", "bell_diag"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["spectrum"] == [0.25] * 4
+    args = ["analyze", "--family", "bell_diag", "--t33", "0.1"]
+    want = runner.invoke(main, [*args, "--t11", "0", "--t22", "0"])
+    assert runner.invoke(main, args).stdout_bytes == want.stdout_bytes
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--family", "comp_diag", "--weights", "nan,0,0,1"],
+    ["analyze", "--family", "x2", "--q", "nan"],
+], ids=["comp_diag", "x2"])
+def test_nan_parameter_is_a_domain_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("command", ["analyze", "witness"])
@@ -341,8 +361,9 @@ def test_scan_bad_range_exit_3(runner):
     res = runner.invoke(main, ["scan", "--family", "x2",
                                "--range", "0.9:0.1:-0.1"])
     assert res.exit_code == 3
-    # an infinite, a NaN or a 10^12-point grid is refused before any work
-    for spec in ("0.1:inf:1", "0:1:1e-12", "0.5:1:nan"):
+    # an infinite, a NaN, a 10^12-point or an empty grid is refused before
+    # any work
+    for spec in ("0.1:inf:1", "0:1:1e-12", "0.5:1:nan", "1:0:0.5"):
         res = runner.invoke(main, ["scan", "--family", "x2", "--range", spec])
         assert res.exit_code == 3, spec
 
@@ -435,6 +456,8 @@ _GOLDEN = Path(__file__).parent / "golden"
     ("scan_ghzw", ["scan", "--family", "ghzw", "--range", "0:1:0.25"]),
     ("json_witness_y3_q0.2", ["--json", "witness", "--family", "y3", "--q", "0.2"]),
     ("json_witness_x1", ["--json", "witness", "--family", "x1"]),
+    ("scan_isotropic_d3", ["scan", "--family", "isotropic", "--d", "3",
+                           "--range", "0:1:0.25"]),
 ])
 def test_default_stdout_is_golden(runner, name, args):
     res = runner.invoke(main, args)

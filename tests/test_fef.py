@@ -61,10 +61,9 @@ def test_fef_known_values():
     rot = states.conjugate(states.x1(), states.fixture_unitary("U1").matrix)
     assert fef(rot).value == pytest.approx(2 / 3, abs=1e-6)
     for d in (2, 3):
-        spec = states.FamilySpec("max_entangled", {"d": d})
         restarts = 8 if d == 3 else None
-        assert fef(states.construct(spec), restarts=restarts).value \
-            == pytest.approx(1.0, abs=1e-6)
+        assert fef(states.construct("max_entangled", d=d),
+                   restarts=restarts).value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fef_never_below_lower_bound():
@@ -300,14 +299,14 @@ def test_fef_matches_closed_form_oracle():
 
 # One point of each two-qubit family.
 _D2_FAMILIES = [
-    states.FamilySpec("x1", {}),
-    states.FamilySpec("x2", {"q": 0.3}),
-    states.FamilySpec("isotropic", {"d": 2, "beta": 0.5}),
-    states.FamilySpec("comp_diag", {"weights": [0.4, 0.3, 0.2, 0.1]}),
-    states.FamilySpec("bell_diag", {"t11": 0.1, "t22": -0.05, "t33": 0.15}),
-    states.FamilySpec("af_not_as_example", {}),
-    states.FamilySpec("max_entangled", {"d": 2}),
-    states.FamilySpec("ghzw", {"p": 0.3}),
+    ("x1", {}),
+    ("x2", {"q": 0.3}),
+    ("isotropic", {"d": 2, "beta": 0.5}),
+    ("comp_diag", {"weights": [0.4, 0.3, 0.2, 0.1]}),
+    ("bell_diag", {"t11": 0.1, "t22": -0.05, "t33": 0.15}),
+    ("af_not_as_example", {}),
+    ("max_entangled", {"d": 2}),
+    ("ghzw", {"p": 0.3}),
 ]
 
 
@@ -319,7 +318,8 @@ def test_fef_d2_every_haar_restart_reaches_closed_form():
     rng = np.random.default_rng(40)
     rhos = [_as_state(ginibre_density(rng, 4, rank), 2)
             for rank in (1, 2, 3, 4) for _ in range(50)]
-    rhos += [states.construct(spec) for spec in _D2_FAMILIES]
+    rhos += [states.construct(name, **params)
+             for name, params in _D2_FAMILIES]
     starts = _haar_starts(2, 19, 0)
     for rho in rhos:
         lam_min = np.linalg.eigvalsh(rho.matrix)[0]
@@ -462,9 +462,10 @@ def test_fef_local_unitary_invariance_property(d, rank, seed):
 
 def test_fef_domain_errors():
     rho = states.x1()
-    for restarts in (0, MAX_RESTARTS + 1):
+    for restarts in (0, MAX_RESTARTS + 1, 2.7, "3"):
         with pytest.raises(DomainError):
             fef(rho, restarts=restarts)
+    assert fef(rho, restarts=np.int64(3)).restarts_used == 3
     big = _as_state(np.eye(16, dtype=complex) / 16, 4)
     with pytest.raises(DomainError):
         fef(big)

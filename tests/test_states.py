@@ -74,6 +74,8 @@ def test_comp_diag_and_domain():
         states.comp_diag([0.5, 0.5, 0.1, -0.1])
     with pytest.raises(DomainError):
         states.comp_diag([0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(DomainError):
+        states.comp_diag([np.nan, 0, 0, 1])
 
 
 def test_bell_diag_validity():
@@ -103,27 +105,54 @@ def test_af_not_as_example():
                          - np.diag([0.5, 0.3, 0.2, 0.0]))) < 1e-14
 
 
-def test_family_spec_and_construct():
-    spec = states.FamilySpec("isotropic", {"d": 3, "beta": 0.25})
-    rho = states.construct(spec)
+def test_construct():
+    rho = states.construct("isotropic", d=3, beta=0.25)
     assert (rho.dim_a, rho.dim_b) == (3, 3)
-    with pytest.raises(DomainError):
-        states.FamilySpec("unknown_family")
-    maxent = states.construct(states.FamilySpec("max_entangled", {"d": 2}))
+    with pytest.raises(DomainError, match="unknown family 'unknown_family'"):
+        states.construct("unknown_family")
+    maxent = states.construct("max_entangled", d=2)
     assert maxent.purity() == pytest.approx(1.0, abs=1e-12)
-    rho = states.construct(states.FamilySpec("ghzw", {"p": 0.3}))
+    rho = states.construct("ghzw", p=0.3)
     assert np.array_equal(rho.matrix, ghzw_marginal(0.3).marginal.matrix)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("x1", {"d": 3}, "family x1 does not take d; it takes no parameters"),
+    ("x2", {"q": 0.3, "beta": 0.5}, "family x2 does not take beta; it takes q"),
+    ("bell_diag", {"t11": 0.1, "weights": [1, 0, 0, 0]},
+     "family bell_diag does not take weights; it takes t11, t22, t33"),
+])
+def test_construct_refuses_foreign_parameters(monkeypatch, name, params,
+                                              message):
+    def never(*args):
+        pytest.fail(f"{name} built with {args}")
+
+    monkeypatch.setitem(states.FAMILIES, name,
+                        states.FAMILIES[name]._replace(build=never))
+    with pytest.raises(DomainError) as info:
+        states.construct(name, **params)
+    assert str(info.value) == message
+
+
+def test_construct_applies_defaults():
+    assert np.array_equal(states.construct("bell_diag", t11=0.1).matrix,
+                          states.bell_diag(0.1, 0, 0).matrix)
+    assert np.array_equal(states.construct("bell_diag").matrix,
+                          np.eye(4) / 4)
+    rho = states.construct("isotropic", beta=0.3)
+    assert (rho.dim_a, rho.dim_b) == (2, 2)
+    assert np.array_equal(rho.matrix, states.isotropic(2, 0.3).matrix)
 
 
 def test_max_entangled_family_is_exact():
     # The family is isotropic(d, 1): |psi+><psi+| with entries exactly 1/d.
     for d in (2, 3):
-        rho = states.construct(states.FamilySpec("max_entangled", {"d": d}))
+        rho = states.construct("max_entangled", d=d)
         assert np.array_equal(rho.matrix, states.isotropic(d, 1).matrix)
         psi = states.max_entangled(d)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-15
     with pytest.raises(DomainError):
-        states.construct(states.FamilySpec("max_entangled", {"d": 1}))
+        states.construct("max_entangled", d=1)
 
 
 @pytest.mark.parametrize("build", [
@@ -131,8 +160,8 @@ def test_max_entangled_family_is_exact():
     lambda: states.x2(1),
     lambda: states.isotropic(2, 1),
     lambda: states.isotropic(3, 1),
-    lambda: states.construct(states.FamilySpec("max_entangled", {"d": 2})),
-    lambda: states.construct(states.FamilySpec("max_entangled", {"d": 3})),
+    lambda: states.construct("max_entangled", d=2),
+    lambda: states.construct("max_entangled", d=3),
 ], ids=["y3(1)", "x2(1)", "isotropic(2,1)", "isotropic(3,1)",
         "max_entangled(2)", "max_entangled(3)"])
 def test_psi_plus_points_are_exact(build):
@@ -155,13 +184,13 @@ _SAMPLE_PARAMS = {"q": 0.5, "d": 3, "beta": 0.2, "p": 0.3,
 def test_every_family_builds_through_construct(name):
     family = states.FAMILIES[name]
     params = {k: _SAMPLE_PARAMS[k] for k in family.params}
-    assert isinstance(states.construct(states.FamilySpec(name, params)),
-                      DensityMatrix)
+    assert isinstance(states.construct(name, **params), DensityMatrix)
     assert family.sweep is None or family.sweep in family.params
-    for missing in set(family.params) - {"d"}:  # d defaults to 2
-        with pytest.raises(KeyError):
-            states.construct(states.FamilySpec(
-                name, {k: v for k, v in params.items() if k != missing}))
+    assert set(family.defaults) <= set(family.params)
+    for missing in set(family.params) - set(family.defaults):
+        with pytest.raises(DomainError, match=f"missing parameter '{missing}'"):
+            states.construct(
+                name, **{k: v for k, v in params.items() if k != missing})
 
 
 @pytest.mark.parametrize("uid, n", [("U1", 4), ("U2", 4), ("U3", 9)])

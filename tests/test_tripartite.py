@@ -35,6 +35,8 @@ def test_acin_params_validation():
         tripartite.AcinParams(x=(-1, 0, 0, 0, 0))
     with pytest.raises(DomainError):
         tripartite.AcinParams(x=(1, 0, 0, 0, 0), theta=4.0)
+    with pytest.raises(DomainError):
+        tripartite.AcinParams(x=(math.nan, 0, 0, 0, 1))
 
 
 def test_acin_state_normalized():
@@ -119,3 +121,6 @@ def test_three_qutrit_vertices():
     assert rep.boundary
     with pytest.raises(DomainError):
         tripartite.three_qutrit_marginal(0.7, 0.7)
+    for alpha, beta in ((math.nan, 0), (0, math.nan)):
+        with pytest.raises(DomainError):
+            tripartite.three_qutrit_state(alpha, beta)

@@ -79,6 +79,13 @@ def test_evaluate_shape_mismatch():
         witness.evaluate(s, states.y3(0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_refuses_non_finite_expectation(bad):
+    s = witness.WitnessOperator(np.full((4, 4), bad, dtype=complex), 2)
+    with pytest.raises(DomainError):
+        witness.evaluate(s, states.x1())
+
+
 @settings(max_examples=200, deadline=None)
 @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
        alpha=st.floats(0.05, 20.0))
