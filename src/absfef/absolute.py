@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, MatrixShapeError
+from .errors import DomainError
 from .fef import canonical_ket, fef
 from .linalg import DensityMatrix, as_dim
 
@@ -30,12 +30,6 @@ class MembershipVerdict(NamedTuple):
     absolute: bool
     boundary: bool
     lambda_max: float
-
-
-def _require_square(rho: DensityMatrix):
-    if not rho.is_square_bipartition:
-        raise MatrixShapeError(
-            f"expected a square bipartition, got {rho.dim_a}x{rho.dim_b}")
 
 
 def _membership(lam, d):
@@ -57,12 +51,11 @@ def is_absolute_fef(rho: DensityMatrix):
     Returns a :class:`MembershipVerdict`; ties within ``BOUNDARY_TOL``
     count as members with the boundary flag set.
     """
-    return _membership(max_global_fef(rho), rho.dim_a)
+    return _membership(max_global_fef(rho), rho.d)
 
 
 def max_global_fef(rho: DensityMatrix):
     """Supremum of the FEF over all global unitaries: lambda_max(rho)."""
-    _require_square(rho)
     return rho.spectrum.lambda_max
 
 
@@ -74,8 +67,7 @@ def activating_unitary(rho: DensityMatrix):
     -e^{i phi} |psi+>; |w|^2 = 2 + 2 |<psi+|v>| >= 2, so no case needs a
     branch.  The rotated state achieves canonical overlap lambda_max.
     """
-    _require_square(rho)
-    psi = canonical_ket(rho.dim_a)
+    psi = canonical_ket(rho.d)
     v = rho.spectrum.eigenvectors[:, 0]
     w = v + np.exp(1j * np.angle(np.vdot(psi, v))) * psi
     return np.eye(v.size) - (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
@@ -127,8 +119,7 @@ def classify(rho: DensityMatrix, restarts=None, seed=0):
     global unitary pushes it past the threshold (lambda_max > 1/d).
     ABSOLUTE: no global unitary can help (lambda_max <= 1/d).
     """
-    _require_square(rho)
-    d = rho.dim_a
+    d = rho.d
     thr = 1 / d
     result = fef(rho, restarts=restarts, seed=seed)
     verdict = _membership(rho.spectrum.lambda_max, d)

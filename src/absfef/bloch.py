@@ -36,9 +36,9 @@ class BlochParams:
 
 def bloch_extract(rho: DensityMatrix):
     """Extract (a, b, T) from a two-qubit state."""
-    if (rho.dim_a, rho.dim_b) != (2, 2):
+    if rho.d != 2:
         raise MatrixShapeError(
-            f"Bloch extraction needs a 2x2 bipartition, got {rho.dim_a}x{rho.dim_b}")
+            f"Bloch extraction needs a 2x2 bipartition, got {rho.d}x{rho.d}")
     # c[i, j] = Tr(rho s_i (x) s_j), with s_0 = I
     c = np.einsum("ijkl,aki,clj->ac", rho.matrix.reshape(2, 2, 2, 2),
                   _SIGMA, _SIGMA).real

@@ -115,10 +115,10 @@ def _load_state_file(path):
     needs = "state file needs 'dims' and 'matrix' fields"
     doc, matrix = _load_matrix_file(path, needs)
     try:
-        dim_a, dim_b = (as_dim(v) for v in doc["dims"])
+        d_a, d_b = (as_dim(v) for v in doc["dims"])
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise _format_error(f"{needs}: {exc}") from exc
-    return validate_density(matrix, dim_a, dim_b)
+    return validate_density(matrix, d_a, d_b)
 
 
 _FAMILY_OPTIONS = [
@@ -144,6 +144,14 @@ def _family_options(f):
     return f
 
 
+def _gate_d(family, d):
+    """Refuse a d that fef cannot analyze before a family that takes d builds
+    a d^2 x d^2 state; any other fault is left for construct to name."""
+    spec = states.FAMILIES.get(family)
+    if d is not None and spec is not None and "d" in spec.params:
+        require_supported_dim(d)
+
+
 def _resolve_state(family, input_path, **options):
     if (family is None) == (input_path is None):
         raise DomainError("provide exactly one of --family or --input")
@@ -161,9 +169,7 @@ def _resolve_state(family, input_path, **options):
         elif name != "d":
             v = _num(v)
         params[name] = v
-    if "d" in params:
-        # Refuse a d that fef cannot analyze before building a d^2 x d^2 state.
-        require_supported_dim(params["d"])
+    _gate_d(family, params.get("d"))
     return states.construct(family, **params)
 
 
@@ -222,7 +228,7 @@ def _build_report(rho, opts):
                                seed=opts["seed"])
     spectrum = rho.spectrum.eigenvalues
     doc = {
-        "dims": [rho.dim_a, rho.dim_b],
+        "dims": [rho.d, rho.d],
         "threshold": report.threshold,
         "spectrum": [float(v) for v in spectrum],
         "purity": rho.purity(),
@@ -239,7 +245,7 @@ def _build_report(rho, opts):
                             else report.k_copy_nonlocal),
         "teleportation_useful": report.teleportation_useful,
     }
-    if rho.dim_a == 2 and rho.dim_b == 2:
+    if rho.d == 2:
         bp = bloch_extract(rho)
         doc["bloch"] = {"a": [float(v) for v in bp.a],
                         "b": [float(v) for v in bp.b],
@@ -285,10 +291,7 @@ def analyze(ctx, **kwargs):
 def witness_cmd(ctx, unitary_path, **kwargs):
     """Emit a pullback witness S = U^dag W U detecting the given state."""
     rho = _resolve_state(**kwargs)
-    if not rho.is_square_bipartition:
-        raise DomainError(f"witness needs a square bipartition, "
-                          f"got {rho.dim_a}x{rho.dim_b}")
-    d = rho.dim_a
+    d = rho.d
     w = witness_mod.teleportation_witness(d)
     if unitary_path is not None:
         _, u = _load_matrix_file(unitary_path,
@@ -357,10 +360,8 @@ def scan(ctx, family, range_spec, d, output):
     if (stop - start) / step + 1 > MAX_SCAN_POINTS:
         raise DomainError(f"range {range_spec!r} has more than "
                           f"{MAX_SCAN_POINTS} points")
-    params = {}
-    if d is not None:
-        params["d"] = d
-        require_supported_dim(d)
+    _gate_d(family, d)
+    params = {} if d is None else {"d": d}
     grid = []
     v = start
     while v <= stop + 1e-12:

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MatrixShapeError
+from .errors import DomainError
 from .linalg import DensityMatrix, as_dim
 
 #: Default restart counts per local dimension: the certificate's X0 plus Haar
@@ -147,10 +147,7 @@ def fef_lower_bound(rho: DensityMatrix):
     Tr(P rho) for P = :func:`canonical_projector`, read off P's support as
     (1/d) sum_ij rho[ii, jj], so |psi+><psi+| gives 1.
     """
-    if not rho.is_square_bipartition:
-        raise MatrixShapeError(
-            f"FEF needs a square bipartition, got {rho.dim_a}x{rho.dim_b}")
-    d = rho.dim_a
+    d = rho.d
     return float(np.real(rho.matrix[:: d + 1, :: d + 1].sum())) / d
 
 
@@ -305,7 +302,7 @@ class FefResult:
 
     def evaluate(self, rho: DensityMatrix):
         """Re-evaluate the objective at the stored unitary."""
-        d = rho.dim_a
+        d = rho.d
         v = self.optimizer_unitary.T.ravel() / math.sqrt(d)
         return float(np.real(v.conj() @ rho.matrix @ v))
 
@@ -328,13 +325,12 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     1e-6; ``iterations`` is the step at which the last restart stopped, 0
     when the lambda_max certificate ran no ascent.
 
-    Raises :class:`MatrixShapeError` for a non-square bipartition and
-    :class:`DomainError` for d outside {2, 3}, ``restarts`` that is not an
-    integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer >= 0,
-    before any computation.
+    Raises :class:`DomainError` for d outside {2, 3}, ``restarts`` that is
+    not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
+    >= 0, before any computation.
     """
-    lower = fef_lower_bound(rho)  # raises unless the bipartition is square
-    d = rho.dim_a
+    lower = fef_lower_bound(rho)
+    d = rho.d
     require_supported_dim(d)
     if restarts is None:
         restarts = DEFAULT_RESTARTS[d]
@@ -402,8 +398,8 @@ def fef_two_qubit_closed_form(rho: DensityMatrix):
 
     Serves as the independent desk oracle for the d = 2 optimizer.
     """
-    if rho.dim_a != 2 or rho.dim_b != 2:
+    if rho.d != 2:
         raise DomainError(f"closed form needs a 2x2 bipartition, "
-                          f"got {rho.dim_a}x{rho.dim_b}")
+                          f"got {rho.d}x{rho.d}")
     m = _MAGIC.conj().T @ rho.matrix @ _MAGIC
     return float(np.linalg.eigvalsh(m.real)[-1])

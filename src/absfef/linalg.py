@@ -147,23 +147,14 @@ def partial_trace(m, dims, drop):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated bipartite density matrix.
+    """A validated d (x) d density matrix.
 
     Use :func:`validate_density` to construct one; the constructor itself
     performs no checks.
     """
 
     matrix: np.ndarray
-    dim_a: int
-    dim_b: int
-
-    @property
-    def dim(self):
-        return self.dim_a * self.dim_b
-
-    @property
-    def is_square_bipartition(self):
-        return self.dim_a == self.dim_b
+    d: int
 
     @cached_property
     def spectrum(self):
@@ -181,10 +172,11 @@ class DensityMatrix:
         return float(np.real(np.sum(self.matrix * self.matrix.T)))
 
 
-def validate_density(m, dim_a, dim_b):
+def validate_density(m, d_a, d_b):
     """Check the density-matrix invariants and wrap the matrix.
 
-    Raises :class:`DomainError` unless both dims are integers, and
+    Raises :class:`DomainError` unless both dims are integers,
+    :class:`MatrixShapeError` unless they are equal and match the matrix, and
     :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
     trace or positivity fails beyond ``HERMITICITY_TOL``.  The state keeps
@@ -192,11 +184,12 @@ def validate_density(m, dim_a, dim_b):
     ``spectrum``.
     """
     m = np.asarray(m, dtype=complex)
-    dim_a, dim_b = as_dim(dim_a), as_dim(dim_b)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
+    d, d_b = as_dim(d_a), as_dim(d_b)
+    if d != d_b:
+        raise MatrixShapeError(f"expected a d x d bipartition, got {d}x{d_b}")
+    if m.shape != (d * d, d * d):
         raise MatrixShapeError(
-            f"matrix of shape {m.shape} does not match dims {dim_a}x{dim_b}")
+            f"matrix of shape {m.shape} does not match dims {d}x{d}")
     _check_finite(m)
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > HERMITICITY_TOL:
@@ -206,7 +199,7 @@ def validate_density(m, dim_a, dim_b):
         raise DensityValidationError("trace", trace_err)
     h = 0.5 * (m + m.conj().T)
     h.setflags(write=False)
-    rho = DensityMatrix(matrix=h, dim_a=dim_a, dim_b=dim_b)
+    rho = DensityMatrix(matrix=h, d=d)
     lam_min = float(rho.spectrum.eigenvalues[-1])
     if lam_min < -HERMITICITY_TOL:
         raise DensityValidationError("positivity", -lam_min)

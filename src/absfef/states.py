@@ -14,7 +14,7 @@ from .bases import PAULI
 from .errors import DomainError
 from .fef import canonical_ket, canonical_projector
 from .linalg import DensityMatrix, as_dim, kron, validate_density
-from .tripartite import ghzw_marginal, ghzw_state
+from .tripartite import ghzw_marginal
 
 max_entangled = canonical_ket
 
@@ -94,16 +94,6 @@ def bell_diag(t11, t22, t33):
                           f"is not a valid state: {exc}") from exc
 
 
-def ghz():
-    """Three-qubit GHZ state (the p = 1 end of the GHZ-W mixture), split as 2 x 4."""
-    return validate_density(ghzw_state(1), 2, 4)
-
-
-def w():
-    """Three-qubit W state (the p = 0 end of the GHZ-W mixture), split as 2 x 4."""
-    return validate_density(ghzw_state(0), 2, 4)
-
-
 def af_not_as_example():
     """The diag(0.5, 0.3, 0.2, 0) state: absolute-FEF but not absolutely separable."""
     return comp_diag([0.5, 0.3, 0.2, 0.0])
@@ -130,8 +120,6 @@ FAMILIES = {
     "comp_diag": Family(comp_diag, ("weights",)),
     "bell_diag": Family(bell_diag, ("t11", "t22", "t33"), None,
                         {"t11": 0, "t22": 0, "t33": 0}),
-    "ghz": Family(ghz),
-    "w": Family(w),
     "af_not_as_example": Family(af_not_as_example),
     "max_entangled": Family(lambda d: isotropic(d, 1), ("d",), None, {"d": 2}),
     "ghzw": Family(lambda p: ghzw_marginal(p).marginal, ("p",), "p"),
@@ -213,4 +201,4 @@ def fixture_unitary(uid):
 def conjugate(rho: DensityMatrix, u) -> DensityMatrix:
     """Apply a global unitary: U rho U^dag, keeping the bipartition."""
     u = np.asarray(u, dtype=complex)
-    return validate_density(u @ rho.matrix @ u.conj().T, rho.dim_a, rho.dim_b)
+    return validate_density(u @ rho.matrix @ u.conj().T, rho.d, rho.d)

@@ -137,7 +137,8 @@ def decompose(h, basis_kind):
     normalized Hilbert-Schmidt overlaps; for the overcomplete polarization
     set they are the minimum-norm least-squares solution.  Coefficients are
     real; reconstruction is exact to 1e-10.  An operator with a NaN or inf
-    entry, or one that is not Hermitian, raises :class:`DomainError`.
+    entry, one that is not Hermitian, or one so large that a coefficient
+    overflows raises :class:`DomainError`.
     """
     h = np.asarray(h, dtype=complex)
     basis = operator_basis(basis_kind)
@@ -161,7 +162,11 @@ def decompose(h, basis_kind):
         # the product takes the stack's C order whatever the layout of h,
         # so each (i, j) reduces one contiguous run of n^4 entries with the
         # same pairwise summation as np.sum of that single n^2 x n^2 product
-        overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
         coeffs = overlaps.real / _norm_products(basis_kind)
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"{basis_kind} coefficients overflow: the operator's "
+                          f"entries are too large to decompose")
     return BasisDecomposition(basis_kind=basis_kind, coefficients=coeffs,
                               labels=basis.labels)

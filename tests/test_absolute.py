@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absfef import absolute, states
-from absfef.errors import DomainError, MatrixShapeError
+from absfef.errors import DomainError
 from absfef.fef import canonical_ket, fef
 from absfef.linalg import validate_density
 from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
@@ -38,11 +38,6 @@ def test_max_global_fef_is_lambda_max():
     rho = validate_density(ginibre_density(rng, 9), 3, 3)
     assert absolute.max_global_fef(rho) == pytest.approx(
         float(np.linalg.eigvalsh(rho.matrix)[-1]), abs=1e-12)
-
-
-def test_membership_needs_square_bipartition():
-    with pytest.raises(MatrixShapeError):
-        absolute.is_absolute_fef(states.ghz())
 
 
 # States whose top eigenvector is orthogonal to |psi+> or equal to it: the

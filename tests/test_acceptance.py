@@ -116,7 +116,7 @@ def test_criterion_03_activation_attains_lambda_max():
         psi = canonical_ket(d)
         for _ in range(trials):
             m = ginibre_density(rng, d * d)
-            rho = DensityMatrix(matrix=m, dim_a=d, dim_b=d)
+            rho = DensityMatrix(matrix=m, d=d)
             u = absolute.activating_unitary(rho)
             rot = u @ m @ u.conj().T
             overlap = float(np.real(psi.conj() @ rot @ psi))

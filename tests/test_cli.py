@@ -150,8 +150,11 @@ def test_analyze_domain_error_exit_3(runner, monkeypatch):
      "beta", "d"),
     (["scan", "--family", "x2", "--d", "3", "--range", "0:1:0.5"], "d",
      "q"),
+    # a d the optimizer cannot take is no reason to hide the foreign option
+    (["analyze", "--family", "x1", "--d", "4"], "d", "no parameters"),
+    (["scan", "--family", "x2", "--d", "100", "--range", "0:1:0.5"], "d", "q"),
 ], ids=["x1-d", "x2-beta", "ghzw-q", "bell_diag-weights", "max_entangled-beta",
-        "scan-x2-d"])
+        "scan-x2-d", "x1-d4", "scan-x2-d100"])
 def test_foreign_family_option_exit_3(runner, args, foreign, takes):
     family = args[args.index("--family") + 1]
     res = runner.invoke(main, args)
@@ -159,6 +162,30 @@ def test_foreign_family_option_exit_3(runner, args, foreign, takes):
     assert res.stdout == ""
     assert res.stderr == (f"error: family {family} does not take {foreign}; "
                           f"it takes {takes}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--family", "nonesuch", "--d", "4"],
+    ["analyze", "--family", "ghz"],
+    ["witness", "--family", "w"],
+], ids=["nonesuch-d4", "ghz", "w"])
+def test_unknown_family_exit_3(runner, args):
+    family = args[args.index("--family") + 1]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: unknown family {family!r}; ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+def test_input_with_unequal_dims_exit_3(runner, tmp_path, command):
+    # a valid three-qubit state, split as 2 x 4
+    path = tmp_path / "state.json"
+    _write_state(path, tripartite.ghzw_state(1), (2, 4))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: expected a d x d bipartition, got 2x4\n"
 
 
 def test_bell_diag_t_defaults_to_zero(runner):
@@ -448,17 +475,13 @@ def test_unexpected_error_maps_to_exit_3(runner, monkeypatch):
 _GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name, args", [
-    ("bounds_d2", ["bounds", "--d", "2"]),
-    ("witness_x1", ["witness", "--family", "x1"]),
-    ("witness_y3_q0.2", ["witness", "--family", "y3", "--q", "0.2"]),
-    ("json_analyze_x1", ["--json", "analyze", "--family", "x1"]),
-    ("scan_ghzw", ["scan", "--family", "ghzw", "--range", "0:1:0.25"]),
-    ("json_witness_y3_q0.2", ["--json", "witness", "--family", "y3", "--q", "0.2"]),
-    ("json_witness_x1", ["--json", "witness", "--family", "x1"]),
-    ("scan_isotropic_d3", ["scan", "--family", "isotropic", "--d", "3",
-                           "--range", "0:1:0.25"]),
-])
+def _golden_commands():
+    """(name, args) of each ``name args...`` line of golden/commands.txt."""
+    lines = (_GOLDEN / "commands.txt").read_text().splitlines()
+    return [(name, args) for name, *args in map(str.split, lines)]
+
+
+@pytest.mark.parametrize("name, args", _golden_commands())
 def test_default_stdout_is_golden(runner, name, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0

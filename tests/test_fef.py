@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absfef import states
-from absfef.errors import DomainError, MatrixShapeError
+from absfef.errors import DomainError
 from absfef.fef import (_EPS, _MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS,
                         _ascend, _haar_starts, canonical_ket,
                         canonical_projector, fef, fef_lower_bound,
@@ -46,14 +46,6 @@ def test_lower_bound_matches_overlap():
             rho = _as_state(ginibre_density(rng, d * d), d)
             assert fef_lower_bound(rho) == pytest.approx(
                 np.real(psi.conj() @ rho.matrix @ psi), abs=1e-15)
-
-
-def test_lower_bound_needs_square_bipartition():
-    rho = states.ghz()  # 2 x 4 split
-    with pytest.raises(MatrixShapeError):
-        fef_lower_bound(rho)
-    with pytest.raises(MatrixShapeError):
-        fef(rho)
 
 
 def test_fef_known_values():
@@ -111,7 +103,7 @@ def _ascent_reference(rho, restarts, seed=0):
     Restart 0 starts at vec(X0), X0 = polar(reshape(v1)) for the top
     eigenvector v1; the others at the Haar rows.
     """
-    d = rho.dim_a
+    d = rho.d
     lam = rho.spectrum.eigenvalues
     w, _, vh = np.linalg.svd(rho.spectrum.eigenvectors[:, 0].reshape(d, d))
     starts = np.vstack([(w @ vh).ravel(), _haar_starts(d, restarts - 1, seed)])
@@ -180,7 +172,7 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         if res.upper_bound - res.value <= _EPS:
             continue  # certified
         assert res.upper_bound == rho.spectrum.lambda_max
-        restarts = DEFAULT_RESTARTS[rho.dim_a]
+        restarts = DEFAULT_RESTARTS[rho.d]
         value, unitary, steps = _ascent_reference(rho, restarts)
         assert steps >= 1
         if evaluated:

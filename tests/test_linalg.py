@@ -127,7 +127,7 @@ def test_partial_trace_shape_errors():
 def test_validate_density_accepts_and_freezes():
     rho = validate_density(np.eye(4) / 4, 2, 2)
     assert isinstance(rho, DensityMatrix)
-    assert rho.dim == 4 and rho.is_square_bipartition
+    assert rho.d == 2
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
     assert rho.purity() == pytest.approx(0.25)
@@ -158,23 +158,35 @@ def test_validate_density_keeps_the_hermitian_part():
     assert rho.matrix[0, 1] == 0.5e-12j
 
 
+def _mixed_with(*entries):
+    """I/4 with each (i, j, value) entry set."""
+    m = np.eye(4) / 4
+    for i, j, value in entries:
+        m[i, j] = value
+    return m
+
+
 @pytest.mark.parametrize("m, invariant", [
-    (np.array([[0.5, 0.1], [0.3, 0.5]]), "hermiticity"),
-    (np.eye(2), "trace"),
-    (np.diag([1.5, -0.5]), "positivity"),
-    (np.full((2, 2), np.nan), "finiteness"),
-    (np.diag([np.inf, 0.5]), "finiteness"),
+    (_mixed_with((0, 1, 0.1), (1, 0, 0.3)), "hermiticity"),
+    (np.eye(4), "trace"),
+    (np.diag([1.5, -0.5, 0, 0]), "positivity"),
+    (np.full((4, 4), np.nan), "finiteness"),
+    (_mixed_with((0, 0, np.inf)), "finiteness"),
 ])
 def test_validate_density_names_invariant(m, invariant):
     with pytest.raises(DensityValidationError) as exc:
-        validate_density(m.astype(complex), 1, 2)
+        validate_density(m.astype(complex), 2, 2)
     assert exc.value.invariant == invariant
     assert exc.value.magnitude > 0
 
 
 def test_validate_density_shape():
-    with pytest.raises(MatrixShapeError):
-        validate_density(np.eye(4) / 4, 2, 3)
+    for d_a, d_b in ((2, 3), (2, 4), (4, 2), (1, 4)):
+        with pytest.raises(MatrixShapeError,
+                           match=f"expected a d x d bipartition, got {d_a}x{d_b}"):
+            validate_density(np.eye(4) / 4, d_a, d_b)
+    with pytest.raises(MatrixShapeError, match="does not match dims 3x3"):
+        validate_density(np.eye(4) / 4, 3, 3)
 
 
 def test_dimensions_must_be_integers():
@@ -184,7 +196,7 @@ def test_dimensions_must_be_integers():
         with pytest.raises(DomainError):
             partial_trace(np.eye(4) / 4, dims, 0)
     rho = validate_density(np.eye(4) / 4, np.int64(2), np.int64(2))
-    assert type(rho.dim_a) is int and rho.dim == 4
+    assert type(rho.d) is int and rho.d == 2
 
 
 def test_density_spectrum_is_eig_hermitian_bitwise():

@@ -8,7 +8,7 @@ from absfef import states
 from absfef.errors import DomainError
 from absfef.fef import fef, fef_lower_bound
 from absfef.linalg import DensityMatrix, partial_trace
-from absfef.tripartite import ghzw_marginal
+from absfef.tripartite import ghzw_marginal, ghzw_state
 
 
 def test_max_entangled_normalized():
@@ -94,9 +94,9 @@ def test_bell_diag_rejects_non_finite_without_warning():
 
 
 def test_ghz_w_marginals():
-    for rho, weights in ((states.ghz(), [0.5, 0.5]),
-                         (states.w(), [2 / 3, 1 / 3])):
-        red = partial_trace(rho.matrix, [2, 4], 1)
+    for m, weights in ((ghzw_state(1), [0.5, 0.5]),
+                       (ghzw_state(0), [2 / 3, 1 / 3])):
+        red = partial_trace(m, [2, 4], 1)
         assert np.sort(np.linalg.eigvalsh(red))[::-1][:2] == pytest.approx(weights)
 
 
@@ -107,7 +107,7 @@ def test_af_not_as_example():
 
 def test_construct():
     rho = states.construct("isotropic", d=3, beta=0.25)
-    assert (rho.dim_a, rho.dim_b) == (3, 3)
+    assert rho.d == 3
     with pytest.raises(DomainError, match="unknown family 'unknown_family'"):
         states.construct("unknown_family")
     maxent = states.construct("max_entangled", d=2)
@@ -140,7 +140,7 @@ def test_construct_applies_defaults():
     assert np.array_equal(states.construct("bell_diag").matrix,
                           np.eye(4) / 4)
     rho = states.construct("isotropic", beta=0.3)
-    assert (rho.dim_a, rho.dim_b) == (2, 2)
+    assert rho.d == 2
     assert np.array_equal(rho.matrix, states.isotropic(2, 0.3).matrix)
 
 

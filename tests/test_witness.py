@@ -228,3 +228,11 @@ def test_decompose_rejects_bad_input():
         witness.decompose(np.eye(9), "pauli")
     with pytest.raises(DomainError):
         witness.decompose(np.eye(4), "fourier")
+
+
+@pytest.mark.parametrize("kind, n", [("pauli", 4), ("gellmann", 9)])
+def test_decompose_refuses_overflowing_coefficients(kind, n):
+    # finite and Hermitian, but the sums of its overlaps exceed the float range;
+    # the suite turns any RuntimeWarning into an error
+    with pytest.raises(DomainError, match="overflow"):
+        witness.decompose(np.diag([1e308] * n).astype(complex), kind)
