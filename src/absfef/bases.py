@@ -1,55 +1,54 @@
-"""Fixed operator bases: Pauli, Gell-Mann and polarization projectors."""
+"""Local operator bases on C^d: the generalized Gell-Mann matrices.
 
+One rule (Bertlmann and Krammer, J. Phys. A 41, 235303 (2008)) builds the
+basis for every d: the identity, then for k = 1 ... d - 1 the symmetric
+E_jk + E_kj and antisymmetric -i E_jk + i E_kj for each j < k, then the
+diagonal (sum_{j<k} E_jj - k E_kk) / sqrt(k (k + 1) / 2).  At d = 2 these
+are the Pauli matrices and at d = 3 the Gell-Mann matrices, in their usual
+order.
+"""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def gellmann_rule(d):
+    """The d^2 generalized Gell-Mann matrices, identity first.
+
+    The elements are Hermitian and pairwise Hilbert-Schmidt orthogonal;
+    all but the identity are traceless with Tr(B^dag B) = 2.
+    """
+    out = [np.eye(d, dtype=complex)]
+    for k in range(1, d):
+        for j in range(k):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            out += [sym, anti]
+        diag = np.zeros(d)
+        diag[:k], diag[k] = 1, -k
+        out.append(np.diag(diag / math.sqrt(k * (k + 1) / 2)).astype(complex))
+    return tuple(out)
+
 
 PAULI_LABELS = ("I", "sx", "sy", "sz")
-PAULI = (_I2, _SX, _SY, _SZ)
-
-_I3 = np.eye(3, dtype=complex)
-_L1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-_L2 = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-_L3 = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex)
-_L4 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)
-_L5 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
-_L6 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-_L7 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
-_L8 = np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / np.sqrt(3)
+PAULI = gellmann_rule(2)
 
 GELLMANN_LABELS = ("I", "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8")
-GELLMANN = (_I3, _L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8)
-
-# Single-qubit polarization kets: horizontal, vertical, diagonal,
-# anti-diagonal, left and right circular.
-_H = np.array([1, 0], dtype=complex)
-_V = np.array([0, 1], dtype=complex)
-_D = (_H + _V) / np.sqrt(2)
-_F = (_H - _V) / np.sqrt(2)
-_L = (_H + 1j * _V) / np.sqrt(2)
-_R = (_H - 1j * _V) / np.sqrt(2)
-
-POLARIZATION_LABELS = ("H", "V", "D", "F", "L", "R")
-POLARIZATION_KETS = (_H, _V, _D, _F, _L, _R)
-POLARIZATION = tuple(np.outer(k, k.conj()) for k in POLARIZATION_KETS)
+GELLMANN = gellmann_rule(3)
 
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """A fixed family of single-party Hermitian operators.
+    """A pairwise orthogonal basis of single-party Hermitian operators.
 
-    ``norms`` holds the squared Hilbert-Schmidt norms Tr(B^dag B), used to
-    normalize decomposition coefficients, and ``stacked`` the elements as
-    one (k, n, n) array.  The pauli and gellmann kinds are
-    pairwise orthogonal; the polarization set is an (overcomplete) spanning
-    set of 2x2 Hermitian space, not an orthogonal basis.
+    ``norms`` holds the squared Hilbert-Schmidt norms Tr(B^dag B) and
+    ``stacked`` the elements as one read-only (k, n, n) array.
     """
 
     kind: str
@@ -76,12 +75,11 @@ def _build(kind, elements, labels):
 _BASES = {
     "pauli": _build("pauli", PAULI, PAULI_LABELS),
     "gellmann": _build("gellmann", GELLMANN, GELLMANN_LABELS),
-    "polarization": _build("polarization", POLARIZATION, POLARIZATION_LABELS),
 }
 
 
 def operator_basis(kind):
-    """Return the named operator basis: pauli, gellmann or polarization.
+    """Return the named operator basis: pauli or gellmann.
 
     Each kind is built once, at import, and every call returns that same
     object; its arrays are read-only.
@@ -90,3 +88,16 @@ def operator_basis(kind):
         return _BASES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise DomainError(f"unknown basis kind {kind!r}") from None
+
+
+def basis_for_dim(d):
+    """Return the built-in operator basis on C^d.
+
+    Raises :class:`DomainError` for a d with no built-in basis.
+    """
+    for basis in _BASES.values():
+        if basis.single_dim == d:
+            return basis
+    built = " and ".join(f"d = {b.single_dim} ({b.kind})" for b in _BASES.values())
+    raise DomainError(f"no {d}x{d} local operator basis: only {built} "
+                      f"are built in")

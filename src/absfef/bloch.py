@@ -11,12 +11,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import PAULI
-from .errors import DomainError, MatrixShapeError
+from .bases import operator_basis
+from .errors import DomainError
 from .linalg import DensityMatrix
 
 _MEMBER_TOL = 1e-12
-_SIGMA = np.array(PAULI)
+_SIGMA = operator_basis("pauli").stacked
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class BlochParams:
 def bloch_extract(rho: DensityMatrix):
     """Extract (a, b, T) from a two-qubit state."""
     if rho.d != 2:
-        raise MatrixShapeError(
+        raise DomainError(
             f"Bloch extraction needs a 2x2 bipartition, got {rho.d}x{rho.d}")
     # c[i, j] = Tr(rho s_i (x) s_j), with s_0 = I
     c = np.einsum("ijkl,aki,clj->ac", rho.matrix.reshape(2, 2, 2, 2),

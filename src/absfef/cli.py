@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from . import absolute, states, witness as witness_mod
+from . import absolute, bases, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError
 from .fef import DEFAULT_RESTARTS, fef_lower_bound, require_supported_dim
 from .bloch import bloch_extract
@@ -30,9 +30,6 @@ EXIT_NO_WITNESS = 4
 EXIT_IO_ERROR = 5
 
 MAX_SCAN_POINTS = 10_000
-
-# Local operator basis that `witness` decomposes its pullback over, per d.
-WITNESS_BASES = {2: "pauli", 3: "gellmann"}
 
 
 def _fmt(x):
@@ -304,11 +301,7 @@ def witness_cmd(ctx, unitary_path, **kwargs):
                        f"{_fmt(verdict.lambda_max)} <= 1/{d})", err=True)
             sys.exit(EXIT_NO_WITNESS)
         u = absolute.activating_unitary(rho)
-    kind = WITNESS_BASES.get(d)
-    if kind is None:
-        raise DomainError(f"no {d}x{d} local operator basis to decompose the "
-                          f"witness over: only d = 2 (pauli) and d = 3 "
-                          f"(gellmann) are built in")
+    kind = bases.basis_for_dim(d).kind
     s = witness_mod.pullback(w, u)
     expectation = witness_mod.evaluate(s, rho)
     dec = witness_mod.decompose(s.matrix, kind)

@@ -117,28 +117,14 @@ def _norm_products(kind):
     return p
 
 
-@functools.cache
-def _realified_design(kind):
-    """[Re; Im] of the columns vec(B_i (x) B_j), the real least-squares matrix.
-
-    Built once per process and read-only.
-    """
-    b = operator_basis(kind).elements
-    cols = np.column_stack([kron(bi, bj).ravel() for bi in b for bj in b])
-    a = np.vstack([cols.real, cols.imag])
-    a.setflags(write=False)
-    return a
-
-
 def decompose(h, basis_kind):
     """Expand a Hermitian two-party operator over a product operator basis.
 
-    For the orthogonal kinds (pauli, gellmann) the coefficients are the
-    normalized Hilbert-Schmidt overlaps; for the overcomplete polarization
-    set they are the minimum-norm least-squares solution.  Coefficients are
-    real; reconstruction is exact to 1e-10.  An operator with a NaN or inf
-    entry, one that is not Hermitian, or one so large that a coefficient
-    overflows raises :class:`DomainError`.
+    The coefficients are the real, normalized Hilbert-Schmidt overlaps
+    Tr((B_i (x) B_j)^dag H) / (Tr(B_i^dag B_i) Tr(B_j^dag B_j)), so
+    reconstruction is exact to 1e-10.  An operator with a NaN or inf entry,
+    one that is not Hermitian, or one so large that a coefficient overflows
+    raises :class:`DomainError`.
     """
     h = np.asarray(h, dtype=complex)
     basis = operator_basis(basis_kind)
@@ -152,19 +138,12 @@ def decompose(h, basis_kind):
     if not asym <= _HERM_TOL:  # NaN fails too
         raise DomainError(f"operator must be finite and Hermitian: "
                           f"max |H - H^dag| = {asym:.3e}")
-    if basis_kind == "polarization":
-        # real coefficients: solve the realified system for the min-norm solution
-        b = np.concatenate([h.ravel().real, h.ravel().imag])
-        coef, *_ = np.linalg.lstsq(_realified_design(basis_kind), b, rcond=None)
-        k = len(basis.elements)
-        coeffs = coef.reshape(k, k)
-    else:
-        # the product takes the stack's C order whatever the layout of h,
-        # so each (i, j) reduces one contiguous run of n^4 entries with the
-        # same pairwise summation as np.sum of that single n^2 x n^2 product
-        with np.errstate(over="ignore", invalid="ignore"):
-            overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
-        coeffs = overlaps.real / _norm_products(basis_kind)
+    # the product takes the stack's C order whatever the layout of h, so
+    # each (i, j) reduces one contiguous run of n^4 entries with the same
+    # pairwise summation as np.sum of that single n^2 x n^2 product
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
+    coeffs = overlaps.real / _norm_products(basis_kind)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{basis_kind} coefficients overflow: the operator's "
                           f"entries are too large to decompose")

@@ -4,7 +4,7 @@ import pytest
 from absfef import states
 from absfef.bases import PAULI
 from absfef.bloch import (bloch_extract, classI_membership, classII_membership)
-from absfef.errors import DomainError, MatrixShapeError
+from absfef.errors import DomainError
 from absfef.linalg import validate_density
 from helpers import ginibre_density
 
@@ -24,7 +24,7 @@ def test_extract_reconstruct_roundtrip():
 
 
 def test_extract_needs_two_qubits():
-    with pytest.raises(MatrixShapeError):
+    with pytest.raises(DomainError, match="needs a 2x2 bipartition"):
         bloch_extract(states.y3(0.5))
 
 

@@ -121,25 +121,10 @@ def test_decompose_roundtrip_orthogonal(kind, n):
     assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
 
 
-def test_decompose_roundtrip_polarization():
-    rng = np.random.default_rng(33)
-    h = ginibre_density(rng, 4)
-    dec = witness.decompose(h, "polarization")
-    assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
-
-
 def _decompose_with_np_kron(h, kind):
     """The coefficients of ``witness.decompose``, built on ``np.kron``."""
     basis = operator_basis(kind)
     k = len(basis.elements)
-    if kind == "polarization":
-        cols = np.column_stack([
-            np.kron(basis.elements[i], basis.elements[j]).ravel()
-            for i in range(k) for j in range(k)])
-        a = np.vstack([cols.real, cols.imag])
-        b = np.concatenate([h.ravel().real, h.ravel().imag])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return coef.reshape(k, k)
     coeffs = np.empty((k, k))
     for i in range(k):
         for j in range(k):
@@ -149,8 +134,7 @@ def _decompose_with_np_kron(h, kind):
     return coeffs
 
 
-@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3),
-                                     ("polarization", 2)])
+@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3)])
 def test_decompose_bitwise_matches_np_kron_reference(kind, n):
     rng = np.random.default_rng(34)
     for _ in range(50):
@@ -189,11 +173,9 @@ def test_decompose_is_bitwise_in_every_memory_layout(kind, n):
                 == _decompose_with_np_kron(rho.matrix, kind).tobytes())
 
 
-@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3),
-                                     ("polarization", 2)])
+@pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3)])
 def test_decompose_results_do_not_alias_the_cache(kind, n):
-    cached = (witness._realified_design(kind) if kind == "polarization"
-              else witness._conj_products(kind))
+    cached = witness._conj_products(kind)
     with pytest.raises(ValueError):
         cached[(0,) * cached.ndim] = 9.0
     h = np.diag(np.arange(n * n, dtype=float))
