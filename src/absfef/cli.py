@@ -18,7 +18,8 @@ import numpy as np
 
 from . import absolute, bases, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError
-from .fef import DEFAULT_RESTARTS, fef_lower_bound, require_supported_dim
+from .fef import (DEFAULT_RESTARTS, fef_lower_bound, require_restarts,
+                  require_supported_dim)
 from .bloch import bloch_extract
 from .linalg import as_dim, validate_density
 from .reproduce import run_fixtures
@@ -184,19 +185,22 @@ def _fail(exc):
 
 
 class _Command(click.Command):
-    """A subcommand that checks the group's --seed when it runs and maps every
-    error it raises to ``error: ...`` and an exit code.
+    """A subcommand that checks the group's --seed and --restarts when it runs
+    and maps every error it raises to ``error: ...`` and an exit code.
 
     The group callback runs before the subcommand parses its own options, so
-    a check there would reject ``--seed -1 analyze --help``.  Click's own
+    a check there would reject ``--seed -1 analyze --help``.  Every
+    subcommand checks both, also one that never runs ``fef``.  Click's own
     exceptions and ``sys.exit`` pass through.
     """
 
     def invoke(self, ctx):
-        seed = ctx.obj["seed"]
-        if seed < 0:
-            _fail(DomainError(f"--seed must be >= 0, got {seed}"))
+        seed, restarts = ctx.obj["seed"], ctx.obj["restarts"]
         try:
+            if seed < 0:
+                raise DomainError(f"--seed must be >= 0, got {seed}")
+            if restarts is not None:
+                require_restarts(restarts)
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise

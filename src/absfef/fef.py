@@ -36,51 +36,51 @@ on the sphere (Badziag, Horodecki, Horodecki and Horodecki, PRA 62, 012311
 (2000); see fef_two_qubit_closed_form).  A Rayleigh quotient has no local
 maximum that is not global: its other critical points are saddles or
 minima.  So any start that is not stationary ascends to the FEF, and a few
-restarts suffice.  Restart 0 starts at the certificate's X0 (below), not at
+restarts suffice.  Restart 0 starts at the ladder's X0 (below), not at
 the identity: the identity is the canonical-basis guess and can be
 stationary below the FEF (for |01><01|, G = 0 at U = I and the value stays
 0; x2(q < 1/3) stays at q).  X0 can be stationary too, and ``converged``
 compares the two best restarts, so d = 2 adds one Haar start.  d = 3 has no
 such theorem and does have local maxima, so it keeps many restarts.
 
-Before any of this, ``fef`` tries a certificate.  f(U) <= lambda_max for
-every U, since f is the Rayleigh quotient of rho at the unit vector v, and
-equality holds exactly when a maximally entangled vector lies in the top
-eigenspace.  The maximally entangled vector nearest the top eigenvector v1
-is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the Procrustes step once
-more.  So f0 = f(X0^T) <= FEF <= lambda_max, and f0 >= lambda_max - _EPS
-proves f0 within the ascent's own stopping gain of the maximum; ``fef`` then
-returns f0 without ascending.  On every state with FEF < lambda_max - _EPS,
-f0 falls short and the ascent runs.  A degenerate top eigenspace
-usually falls through too, even when it holds a maximally entangled vector:
-the eigensolver returns an arbitrary v1 in it, and the ascent finds that
-vector.  The exception is d = 2 with an eigenspace spanned by real
-magic-basis vectors, such as isotropic(2, beta < 0): the vector nearest
-v1 = a + ib is then real and in span(a, b), so it certifies.  When the
-certificate fails, X0 is restart 0's start: the ascent begins at the
-maximally entangled vector nearest the direction the lambda_max bound comes
-from.
-
-lambda_max is the Y = Z = 0 case of a dual bound.  Every maximally entangled
-state has marginals I/d, so for any Hermitian Y and Z,
+Before any of this, ``fef`` climbs a ladder of certificates, whose bounds
+all come from one family.  Every maximally entangled state has marginals
+I/d, so for any Hermitian Y and Z,
 
     FEF <= (Tr Y + Tr Z)/d + lambda_max(rho - Y (x) I - I (x) Z).
 
 Minimized over (Y, Z) this is exact at d = 2 and not exact for d >= 3
 (Landau and Streater, Linear Algebra Appl. 193, 1993), but any (Y, Z) gives
-a valid bound.  Complementary slackness at the ascent's point X gives Y and
-Z in closed form (see _dual_gap), one eigvalsh from a bound.  During the
-ascent, a restart that stops while it leads the stack and other restarts are
-still live gets this bound; if the bound is within _EPS of its value,
-the value is proven within the ascent's own stopping gain of the maximum,
-and the whole stack stops there.
-That is the one threshold of both certificates.  The closed form is tight at
-a nondegenerate maximum; where the maximum is degenerate (x2 and y3 near
-q = 1/3) or the relaxation is loose, the gap stays open and the ascent runs
-to the end.  A restart whose momentum step gained too little to go on may
-still be short of its maximum (the next plain step can gain more), so a
-leader stopping after a momentum step is confirmed by its dual gap: while
-that gap is open, its momentum is reset and it takes a plain step.
+a valid bound.  Complementary slackness at a point X gives Y and Z in closed
+form (see _dual_gap), one eigvalsh from a bound; it is tight at a
+nondegenerate maximum.  A bound within _EPS of the value at X proves that
+value within the ascent's own stopping gain of the maximum: _EPS is the one
+threshold of every rung.  The maximally entangled vector nearest the top
+eigenvector v1 is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the
+Procrustes step once more, and f0 = f(X0^T) <= FEF.  Each rung runs only
+when the one before it fails:
+
+1. lambda_max at X0, the Y = Z = 0 bound.  f <= lambda_max, with equality
+   exactly when a maximally entangled vector lies in the top eigenspace.  A
+   degenerate top eigenspace usually fails even then: the eigensolver
+   returns an arbitrary v1 in it.  The exception is d = 2 with an
+   eigenspace spanned by real magic-basis vectors, such as isotropic(2,
+   beta < 0): the vector nearest v1 = a + ib is then real and in span(a,
+   b), so it certifies.
+2. The dual at X0.  This certifies an X0 that is already the maximizer
+   below lambda_max: every pure state (FEF (sum_i s_i)^2/d for Schmidt
+   coefficients s_i, X0 its maximizer), x1, x2(q < 1/3) and
+   ghzw(1/2 <= p < 1).
+3. The multistart: restart 0 starts at X0 and the others at Haar
+   unitaries.  A restart that stops while it leads the stack and other
+   restarts are still live gets the dual bound at its point, and a gap of
+   at most _EPS stops the whole stack.  A restart whose momentum step gained
+   too little to go on may still be short of its maximum (the next plain
+   step can gain more), so a leader stopping after a momentum step is
+   confirmed by its dual gap: while that gap is open, its momentum is reset
+   and it takes a plain step.  Where the maximum is degenerate (x2 and y3
+   near q = 1/3) or the relaxation is loose, the gap stays open and the
+   ascent runs to the end.
 """
 
 import functools
@@ -93,7 +93,7 @@ import numpy as np
 from .errors import DomainError
 from .linalg import DensityMatrix, as_dim
 
-#: Default restart counts per local dimension: the certificate's X0 plus Haar
+#: Default restart counts per local dimension: the ladder's X0 plus Haar
 #: starts.  d = 2 has no spurious local maxima (module docstring), so one Haar
 #: start backs up an X0 that happens to be stationary and gives ``converged``
 #: a second ascended restart; d = 3 has local maxima and needs many more.
@@ -103,7 +103,7 @@ MAX_RESTARTS = 10_000
 
 # Cap on ascent steps, so the loop ends even if gains never fall below _EPS.
 _MAX_STEPS = 10_000
-# The one threshold of the ascent's stop rule and both certificates.
+# The one threshold of the ascent's stop rule and every certificate.
 _EPS = 1e-8 * 1e-3
 
 
@@ -111,6 +111,20 @@ def require_supported_dim(d):
     """Raise :class:`DomainError` unless :func:`fef` accepts local dimension d."""
     if d not in DEFAULT_RESTARTS:
         raise DomainError(f"unsupported local dimension {d}; expected 2 or 3")
+
+
+def require_restarts(restarts):
+    """Return ``restarts`` as an int; raise :class:`DomainError` unless it is
+    an integer in [1, MAX_RESTARTS]."""
+    try:
+        restarts = operator.index(restarts)
+    except TypeError:
+        raise DomainError(
+            f"restarts must be an integer, got {restarts!r}") from None
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise DomainError(
+            f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    return restarts
 
 
 def _local_dim(d):
@@ -196,7 +210,7 @@ def _dual_gap(r_mat, x, y):
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def _ascend(r_mat, x, certify=False):
+def _ascend(r_mat, x, certify=False, checked=-np.inf):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -211,9 +225,10 @@ def _ascend(r_mat, x, certify=False):
     value is within _EPS of the live maximum) and either other restarts are
     still live or its step used momentum: its :func:`_dual_gap` is
     evaluated unless a gap was already found open at a value within _EPS of
-    its own.  A gap of at most _EPS stops the whole stack.  A leader whose
-    momentum step gained no more than _EPS while its gap is open does not
-    stop: its momentum is reset and it takes a plain step next.
+    its own, or of ``checked``, a value whose gap the caller found open.  A
+    gap of at most _EPS stops the whole stack.  A leader whose momentum step
+    gained no more than _EPS while its gap is open does not stop: its
+    momentum is reset and it takes a plain step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
@@ -230,7 +245,6 @@ def _ascend(r_mat, x, certify=False):
     live = np.arange(n)
     out_x = np.empty((n, dd), dtype=complex)
     out_values = np.empty(n)
-    checked = -np.inf  # the last leader value whose dual gap was evaluated
     for step in range(1, _MAX_STEPS + 1):
         z = y + (k / (k + 3))[:, None] * (y - y_prev)
         w, _, vh = np.linalg.svd(z.reshape(-1, d, d))
@@ -293,11 +307,12 @@ class FefResult:
     optimizer_unitary: np.ndarray
     restarts_used: int
     converged: bool
-    #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when
-    #: the lambda_max certificate ran no ascent step.
+    #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when a
+    #: certificate at X0 made the ascent unnecessary.
     iterations: int
     #: Upper bound on the FEF, never below ``value``: the dual bound when it
-    #: certified the value, lambda_max otherwise.
+    #: certified the value, at X0 (a certificate at X0 made the ascent
+    #: unnecessary) or during the ascent; lambda_max otherwise.
     upper_bound: float
 
     def evaluate(self, rho: DensityMatrix):
@@ -311,11 +326,12 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     """Multistart maximization of the FEF objective over U(d), d in {2, 3}.
 
     ``restarts`` defaults to ``DEFAULT_RESTARTS[d]``; restart 0 starts at the
-    lambda_max certificate's X0 and the others at Haar unitaries drawn from
-    ``default_rng(seed)``.  Restart i's start does not depend on
-    ``restarts``, so the result is deterministic given ``seed`` and, within
-    ``_EPS``, nondecreasing in ``restarts``.  The module docstring states the
-    certificates and the ascent.
+    ladder's X0 and the others at Haar unitaries drawn from
+    ``default_rng(seed)``, which are drawn only when no certificate at X0
+    holds.  Restart i's start does not depend on ``restarts``, so the result
+    is deterministic given ``seed`` and, within ``_EPS``, nondecreasing in
+    ``restarts``.  The module docstring states the certificate ladder and
+    the ascent.
 
     Returns a :class:`FefResult`.  ``value`` is clipped to [canonical
     overlap, lambda_max]; when the clip lifts it to the overlap, the identity
@@ -323,7 +339,7 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     or lambda_max, never below ``value``; ``converged`` is True when a
     certificate held and otherwise means the two best restarts agree within
     1e-6; ``iterations`` is the step at which the last restart stopped, 0
-    when the lambda_max certificate ran no ascent.
+    when a certificate at X0 made the ascent unnecessary.
 
     Raises :class:`DomainError` for d outside {2, 3}, ``restarts`` that is
     not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
@@ -332,16 +348,8 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     lower = fef_lower_bound(rho)
     d = rho.d
     require_supported_dim(d)
-    if restarts is None:
-        restarts = DEFAULT_RESTARTS[d]
-    try:
-        restarts = operator.index(restarts)
-    except TypeError:
-        raise DomainError(
-            f"restarts must be an integer, got {restarts!r}") from None
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise DomainError(
-            f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    restarts = require_restarts(
+        DEFAULT_RESTARTS[d] if restarts is None else restarts)
     try:
         index = operator.index(seed)
     except TypeError:
@@ -352,27 +360,28 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
 
     spectrum = rho.spectrum
     lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
-    # Certificate: X0 = polar(reshape(v1)) spans the maximally entangled
-    # vector nearest the top eigenvector, and f(X0) <= FEF <= lambda_max,
-    # the dual bound at Y = Z = 0.
+    # The certificate ladder (module docstring), at X0 = polar(reshape(v1)).
     w, _, vh = np.linalg.svd(spectrum.eigenvectors[:, 0].reshape(d, d))
     x0 = w @ vh
     v0 = x0.ravel()
     f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
-    if lam_max - f0 <= _EPS:
-        value, x, bound, converged, steps = f0, x0, lam_max, True, 0
-    else:
+    value, x, bound, converged, steps = f0, x0, lam_max, True, 0
+    if lam_max - f0 > _EPS:
         r_mat = rho.matrix - lam_min * np.eye(d * d)
-        starts = np.concatenate((v0[None], _haar_starts(d, restarts - 1, seed)))
-        xs, values, steps, cert = _ascend(r_mat, starts, certify=True)
-        if cert is None:
-            best, bound = int(np.argmax(values)), lam_max
-            top = np.sort(values)[::-1]
-            converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
-        else:
-            best, bound = cert[0], cert[1] + lam_min
-            converged = True
-        value, x = values[best] + lam_min, xs[best].reshape(d, d)
+        gap = _dual_gap(r_mat, v0, r_mat @ v0)
+        bound = f0 + gap
+        if gap > _EPS:
+            starts = np.concatenate(
+                (v0[None], _haar_starts(d, restarts - 1, seed)))
+            xs, values, steps, cert = _ascend(r_mat, starts, certify=True,
+                                              checked=f0 - lam_min)
+            if cert is None:
+                best, bound = int(np.argmax(values)), lam_max
+                top = np.sort(values)[::-1]
+                converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
+            else:
+                best, bound = cert[0], cert[1] + lam_min
+            value, x = values[best] + lam_min, xs[best].reshape(d, d)
     u = x.T
     value = min(value, lam_max)
     if value < lower:  # the overlap wins the clip; U = I attains it

@@ -208,9 +208,10 @@ def test_one_eigendecomposition_per_state(monkeypatch):
     absolute.max_global_fef(rho)
     absolute.is_absolute_fef(rho)
     absolute.activating_unitary(rho)
-    # rho itself is decomposed once.  Each fef call may add the eigvalsh of
-    # its dual certificate, R - A (x) I - I (x) B, which is not rho.
+    # rho itself is decomposed once.  Each of the two fef calls adds the
+    # eigvalsh of the dual certificate at X0, R - A (x) I - I (x) B, which is
+    # not rho, and may add one more where the ascent certifies its leader.
     is_rho = [np.allclose(a, m, atol=1e-12) for _, a in calls]
     assert sum(is_rho) == 1
     dual = [name for (name, _), rho_call in zip(calls, is_rho) if not rho_call]
-    assert dual in (["eigvalsh"], ["eigvalsh"] * 2)
+    assert dual in (["eigvalsh"] * n for n in (2, 3, 4))

@@ -118,6 +118,16 @@ def test_analyze_domain_error_exit_3(runner, monkeypatch):
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--family", "x1"])
     assert res.exit_code == 3
     assert "--seed must be >= 0, got -1" in res.output
+    # --seed and --restarts are checked for every command, also for one
+    # that never runs fef.
+    for args in (["--seed", "-1", "bounds", "--d", "2"],
+                 ["--restarts", "0", "bounds", "--d", "2"],
+                 ["--restarts", "-5", "witness", "--family", "x1"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, args
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: "), args
+    assert res.stderr == "error: restarts must lie in [1, 10000], got -5\n"
     # Help needs no valid seed: the seed is checked when a command runs.
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--help"])
     assert res.exit_code == 0

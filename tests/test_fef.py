@@ -144,11 +144,11 @@ def test_fef_certified_when_top_eigenvector_maximally_entangled(d, seed):
 
 
 def test_fef_ascent_path_unchanged(monkeypatch):
-    # States whose dual gap stays open fail both certificates.  Where no
-    # dual gap is evaluated at all, fef returns the plain ascent's result bit
-    # for bit; where a leader's momentum stop was sent on with a plain step,
-    # each restart only climbs further, so the value is never lower (up to
-    # the rounding of a plain step, which is always accepted).
+    # States whose dual gap stays open fail every certificate.  Where no
+    # dual gap is evaluated inside the ascent, fef returns the plain ascent's
+    # result bit for bit; where a leader's momentum stop was sent on with a
+    # plain step, each restart only climbs further, so the value is never
+    # lower (up to the rounding of a plain step, which is always accepted).
     fefmod = sys.modules[fef.__module__]
     evaluated = []
 
@@ -175,7 +175,10 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         restarts = DEFAULT_RESTARTS[rho.d]
         value, unitary, steps = _ascent_reference(rho, restarts)
         assert steps >= 1
-        if evaluated:
+        # The first gap is the dual at X0, which fef evaluates before the
+        # ascent; only the later ones are evaluated inside _ascend.
+        assert evaluated
+        if evaluated[1:]:
             assert res.value >= value - 1e-14
         else:
             assert (res.value, res.iterations) == (value, steps)
@@ -187,6 +190,71 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         res = fef(states.y3(k / 20))
         assert res.iterations == 0
         assert abs(res.value - k / 20) <= 1e-13
+
+
+def _no_haar_starts(*args):
+    raise AssertionError(f"Haar starts drawn: {args}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_fef_pure_state_certified_at_x0(d, seed):
+    # A pure state psi with Schmidt coefficients s_i has FEF (sum_i s_i)^2/d,
+    # attained at X0 = polar(reshape(psi)), below lambda_max = 1.  The dual
+    # at X0 certifies it: no Haar start is drawn and no ascent step runs.
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    psi /= np.linalg.norm(psi)
+    rho = _as_state(np.outer(psi, psi.conj()), d)
+    exact = np.linalg.svd(psi.reshape(d, d), compute_uv=False).sum() ** 2 / d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules[fef.__module__], "_haar_starts",
+                   _no_haar_starts)
+        res = fef(rho)
+    assert abs(res.value - exact) <= 1e-12
+    assert res.iterations == 0
+    assert res.converged
+    assert res.upper_bound - res.value <= _EPS
+
+
+@pytest.mark.parametrize("name, params", [
+    ("x1", {}), ("x2", {"q": 0.1}), ("x2", {"q": 0.2}), ("x2", {"q": 0.3}),
+    ("ghzw", {"p": 0.5}), ("ghzw", {"p": 0.6}), ("ghzw", {"p": 0.75}),
+    ("ghzw", {"p": 0.95}),
+])
+def test_fef_certified_by_the_dual_at_x0(monkeypatch, name, params):
+    # X0 is already the maximizer here, below lambda_max: the lambda_max rung
+    # fails and the dual at X0 certifies, so no Haar start is drawn.
+    monkeypatch.setattr(sys.modules[fef.__module__], "_haar_starts",
+                        _no_haar_starts)
+    rho = states.construct(name, **params)
+    res = fef(rho)
+    assert (res.iterations, res.converged) == (0, True)
+    assert res.value <= res.upper_bound <= res.value + _EPS
+    assert res.upper_bound < rho.spectrum.lambda_max - 1e-3
+    assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-12
+    assert abs(res.evaluate(rho) - res.value) <= 1e-15
+
+
+def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
+    # af_not_as_example's dual at X0 is loose: the Haar starts are drawn and
+    # the ascent returns the plain ascent's value and unitary bit for bit,
+    # FEF 1/4 at the identity, as before the dual rung existed.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _haar_starts(*args)
+
+    monkeypatch.setattr(sys.modules[fef.__module__], "_haar_starts", counted)
+    rho = states.af_not_as_example()
+    res = fef(rho)
+    assert calls == [(2, DEFAULT_RESTARTS[2] - 1, 0)]
+    value, unitary, steps = _ascent_reference(rho, DEFAULT_RESTARTS[2])
+    assert (res.value, res.iterations) == (value, steps) == (0.25, 1)
+    assert res.optimizer_unitary.tobytes() == unitary.tobytes()
+    assert unitary.tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert res.upper_bound == rho.spectrum.lambda_max
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -385,7 +453,7 @@ def test_fef_dual_certificate_d2():
                 continue
             assert res.converged
             assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-11
-            by_dual += res.iterations > 0
+            by_dual += res.upper_bound < rho.spectrum.lambda_max
     assert by_dual >= 80
 
 
