@@ -8,16 +8,15 @@ marginal analyses behind those results.
 
 from .absolute import (ClassificationReport, MembershipVerdict, PurityBounds,
                        activating_unitary, classify, is_absolute_fef,
-                       is_absolutely_separable_2q, max_global_fef, purity_bounds)
+                       is_absolutely_separable_2q, purity_bounds)
 from .bases import OperatorBasis, operator_basis
 from .bloch import BlochParams, bloch_extract, classI_membership, classII_membership
 from .errors import (AbsFefError, DensityValidationError, DomainError,
                      MatrixShapeError)
 from .fef import FefResult, fef, fef_lower_bound, fef_two_qubit_closed_form
-from .linalg import (DensityMatrix, Spectrum, eig_hermitian, hs_inner, kron,
-                     partial_trace, validate_density)
-from .states import (FixtureUnitary, conjugate, construct, fixture_unitary,
-                     max_entangled)
+from .linalg import (DensityMatrix, Spectrum, eig_hermitian, partial_trace,
+                     validate_density)
+from .states import conjugate, construct, fixture_unitary
 from .tripartite import (AcinParams, MarginalReport, acin_marginal, acin_state,
                          ghzw_marginal, three_qutrit_marginal)
 from .witness import (BasisDecomposition, WitnessOperator, decompose, evaluate,

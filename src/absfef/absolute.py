@@ -51,12 +51,7 @@ def is_absolute_fef(rho: DensityMatrix):
     Returns a :class:`MembershipVerdict`; ties within ``BOUNDARY_TOL``
     count as members with the boundary flag set.
     """
-    return _membership(max_global_fef(rho), rho.d)
-
-
-def max_global_fef(rho: DensityMatrix):
-    """Supremum of the FEF over all global unitaries: lambda_max(rho)."""
-    return rho.spectrum.lambda_max
+    return _membership(rho.spectrum.lambda_max, rho.d)
 
 
 def activating_unitary(rho: DensityMatrix):

@@ -52,14 +52,13 @@ class OperatorBasis:
     """
 
     kind: str
-    elements: tuple
     labels: tuple
     norms: tuple
     stacked: np.ndarray
 
     @property
     def single_dim(self):
-        return self.elements[0].shape[0]
+        return self.stacked.shape[1]
 
 
 def _build(kind, elements, labels):
@@ -68,8 +67,8 @@ def _build(kind, elements, labels):
     norms = tuple(float(np.real(np.sum(np.conj(b) * b))) for b in elements)
     stacked = np.array(elements)
     stacked.setflags(write=False)
-    return OperatorBasis(kind=kind, elements=elements, labels=labels,
-                         norms=norms, stacked=stacked)
+    return OperatorBasis(kind=kind, labels=labels, norms=norms,
+                         stacked=stacked)
 
 
 _BASES = {

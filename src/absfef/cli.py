@@ -19,7 +19,7 @@ import numpy as np
 from . import absolute, bases, states, witness as witness_mod
 from .errors import DensityValidationError, DomainError
 from .fef import (DEFAULT_RESTARTS, fef_lower_bound, require_restarts,
-                  require_supported_dim)
+                  require_seed, require_supported_dim)
 from .bloch import bloch_extract
 from .linalg import as_dim, validate_density
 from .reproduce import run_fixtures
@@ -197,8 +197,7 @@ class _Command(click.Command):
     def invoke(self, ctx):
         seed, restarts = ctx.obj["seed"], ctx.obj["restarts"]
         try:
-            if seed < 0:
-                raise DomainError(f"--seed must be >= 0, got {seed}")
+            require_seed(seed)
             if restarts is not None:
                 require_restarts(restarts)
             return super().invoke(ctx)

@@ -127,6 +127,18 @@ def require_restarts(restarts):
     return restarts
 
 
+def require_seed(seed):
+    """Return ``seed`` as an int; raise :class:`DomainError` unless it is
+    an integer >= 0."""
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return index
+
+
 def _local_dim(d):
     d = as_dim(d)
     if d < 2:
@@ -350,13 +362,7 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     require_supported_dim(d)
     restarts = require_restarts(
         DEFAULT_RESTARTS[d] if restarts is None else restarts)
-    try:
-        index = operator.index(seed)
-    except TypeError:
-        index = -1
-    if index < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    seed = index
+    seed = require_seed(seed)
 
     spectrum = rho.spectrum
     lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]

@@ -30,36 +30,6 @@ def as_dim(value):
         raise DomainError(f"dimension must be an integer, got {value!r}") from None
 
 
-def kron(a, b):
-    """Kronecker product of two matrices.
-
-    One broadcast multiply: entry (i p + k, j q + l) of the (m p) x (n q)
-    result is the single product a[i, j] * b[k, l], so the result equals
-    ``np.kron(a, b)`` bit for bit without its n-d axis handling.  Raises
-    :class:`MatrixShapeError` unless both operands are 2-D.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise MatrixShapeError(
-            f"kron needs two matrices, got shapes {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(A^dag B).
-
-    Conjugate-symmetric in its arguments and real whenever both operands
-    are Hermitian.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise MatrixShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(np.conj(a) * b))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues in descending order with aligned orthonormal eigenvectors.

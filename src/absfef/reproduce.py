@@ -12,8 +12,9 @@ import numpy as np
 
 from . import absolute, bloch, states, tripartite, witness
 from .bases import GELLMANN
-from .fef import canonical_projector, fef, fef_two_qubit_closed_form
-from .linalg import kron, partial_trace, validate_density
+from .fef import (canonical_ket, canonical_projector, fef,
+                  fef_two_qubit_closed_form)
+from .linalg import partial_trace, validate_density
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,9 @@ def run_fixtures(restarts=None, seed=0):
     opts = {"restarts": restarts, "seed": seed}
     out = []
     rho_x1 = states.x1()
-    u1 = states.fixture_unitary("U1").matrix
-    u2 = states.fixture_unitary("U2").matrix
-    u3 = states.fixture_unitary("U3").matrix
+    u1 = states.fixture_unitary("U1")
+    u2 = states.fixture_unitary("U2")
+    u3 = states.fixture_unitary("U3")
     w2 = witness.teleportation_witness(2)
     w3 = witness.teleportation_witness(3)
     s1 = witness.pullback(w2, u1)
@@ -77,10 +78,10 @@ def run_fixtures(restarts=None, seed=0):
         [1 / 9, 0, 0, 1 / 9]], dtype=complex)
     out.append(_maxdiff("state.x1.matrix", rho_x1.matrix, x1_expected, 1e-12))
 
-    phi2 = states.max_entangled(2)
+    phi2 = canonical_ket(2)
     out.append(_maxdiff("state.max_entangled.d2",
                         phi2, np.array([1, 0, 0, 1]) / math.sqrt(2), 1e-12))
-    phi3 = states.max_entangled(3)
+    phi3 = canonical_ket(3)
     want = np.zeros(9)
     want[[0, 4, 8]] = 1 / math.sqrt(3)
     out.append(_maxdiff("state.max_entangled.d3", phi3, want, 1e-12))
@@ -138,9 +139,9 @@ def run_fixtures(restarts=None, seed=0):
     a_op = 0.5 * l3 + l8 / (2 * math.sqrt(3)) + i3 / 3
     b_op = -0.5 * l3 + l8 / (2 * math.sqrt(3)) + i3 / 3
     c_op = -l8 / math.sqrt(3) + i3 / 3
-    s3_closed = (kron(i3, i3)
-                 - (kron(l1, l6) - kron(l2, l7)) / math.sqrt(2)
-                 - 2 * kron(a_op, b_op) - kron(b_op, c_op)) / 3
+    s3_closed = (np.kron(i3, i3)
+                 - (np.kron(l1, l6) - np.kron(l2, l7)) / math.sqrt(2)
+                 - 2 * np.kron(a_op, b_op) - np.kron(b_op, c_op)) / 3
     out.append(_maxdiff("witness.s3.gellmann_closed_form",
                         s3.matrix, s3_closed, 1e-10))
 

@@ -1,22 +1,19 @@
 """Constructors for the state families and fixture unitaries used throughout.
 
 All constructors return validated :class:`~absfef.linalg.DensityMatrix`
-instances (or plain unit-norm columns for pure states) and raise
-:class:`~absfef.errors.DomainError` on out-of-domain parameters.
+instances and raise :class:`~absfef.errors.DomainError` on out-of-domain
+parameters.
 """
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bases import PAULI
 from .errors import DomainError
-from .fef import canonical_ket, canonical_projector
-from .linalg import DensityMatrix, as_dim, kron, validate_density
+from .fef import canonical_projector
+from .linalg import DensityMatrix, as_dim, validate_density
 from .tripartite import ghzw_marginal
-
-max_entangled = canonical_ket
 
 
 def x1():
@@ -84,9 +81,9 @@ def bell_diag(t11, t22, t33):
         raise DomainError(f"(t11, t22, t33) = ({t11}, {t22}, {t33}) must be finite")
     _, sx, sy, sz = PAULI
     m = (np.eye(4, dtype=complex) / 4
-         + t[0] * kron(sx, sx)
-         + t[1] * kron(sy, sy)
-         + t[2] * kron(sz, sz))
+         + t[0] * np.kron(sx, sx)
+         + t[1] * np.kron(sy, sy)
+         + t[2] * np.kron(sz, sz))
     try:
         return validate_density(m, 2, 2)
     except Exception as exc:
@@ -181,21 +178,13 @@ _U3 = 0.5 * np.array([
 _FIXTURE_UNITARIES = {"U1": _U1, "U2": _U2, "U3": _U3}
 
 
-@dataclass(frozen=True)
-class FixtureUnitary:
-    """One of the three fixed global unitaries U1, U2, U3."""
-
-    id: str
-    matrix: np.ndarray
-
-
 def fixture_unitary(uid):
-    """Return the fixture unitary with the given id ("U1", "U2" or "U3")."""
+    """The read-only matrix of the fixture unitary "U1", "U2" or "U3"."""
     if uid not in _FIXTURE_UNITARIES:
         raise DomainError(f"unknown fixture unitary {uid!r}")
     m = _FIXTURE_UNITARIES[uid].copy()
     m.setflags(write=False)
-    return FixtureUnitary(id=uid, matrix=m)
+    return m
 
 
 def conjugate(rho: DensityMatrix, u) -> DensityMatrix:

@@ -9,14 +9,12 @@ on every absolute-FEF state.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .bases import operator_basis
 from .errors import DomainError, MatrixShapeError
 from .fef import canonical_projector
-from .linalg import DensityMatrix, as_dim, kron
+from .linalg import DensityMatrix, as_dim
 
 _HERM_TOL = 1e-12
 _UNITARY_TOL = 1e-10
@@ -24,11 +22,9 @@ _UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """A Hermitian witness with its construction provenance."""
+    """A Hermitian witness operator."""
 
     matrix: np.ndarray
-    base_dim: int
-    pullback_unitary: Optional[np.ndarray] = None
 
 
 def teleportation_witness(d):
@@ -39,7 +35,7 @@ def teleportation_witness(d):
     """
     d = as_dim(d)
     w = np.eye(d * d, dtype=complex) / d - canonical_projector(d)
-    return WitnessOperator(matrix=w, base_dim=d)
+    return WitnessOperator(matrix=w)
 
 
 def pullback(w: WitnessOperator, u):
@@ -58,7 +54,7 @@ def pullback(w: WitnessOperator, u):
     if not dev <= _UNITARY_TOL:  # NaN fails too
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
     s = u.conj().T @ w.matrix @ u
-    return WitnessOperator(matrix=s, base_dim=w.base_dim, pullback_unitary=u)
+    return WitnessOperator(matrix=s)
 
 
 def evaluate(s: WitnessOperator, rho: DensityMatrix):
@@ -99,8 +95,8 @@ def _conj_products(kind):
 
     Built once per process and read-only.
     """
-    b = operator_basis(kind).elements
-    p = np.array([[np.conj(kron(bi, bj)) for bj in b] for bi in b])
+    b = operator_basis(kind).stacked
+    p = np.array([[np.conj(np.kron(bi, bj)) for bj in b] for bi in b])
     p.setflags(write=False)
     return p
 

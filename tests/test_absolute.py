@@ -34,9 +34,10 @@ def test_membership_isotropic_flip():
 
 
 def test_max_global_fef_is_lambda_max():
+    # The supremum of the FEF over global unitaries that membership reads.
     rng = np.random.default_rng(20)
     rho = validate_density(ginibre_density(rng, 9), 3, 3)
-    assert absolute.max_global_fef(rho) == pytest.approx(
+    assert absolute.is_absolute_fef(rho).lambda_max == pytest.approx(
         float(np.linalg.eigvalsh(rho.matrix)[-1]), abs=1e-12)
 
 
@@ -60,7 +61,7 @@ def test_activating_unitary_attains_lambda_max(d):
         rot = states.conjugate(rho, u)
         psi = canonical_ket(d)
         overlap = float(np.real(psi.conj() @ rot.matrix @ psi))
-        assert overlap == pytest.approx(absolute.max_global_fef(rho), abs=1e-8)
+        assert overlap == pytest.approx(rho.spectrum.lambda_max, abs=1e-8)
 
 
 def test_absolute_states_never_exceed_threshold():
@@ -205,7 +206,6 @@ def test_one_eigendecomposition_per_state(monkeypatch):
     rho = validate_density(m, 2, 2)
     absolute.classify(rho)
     fef(rho)
-    absolute.max_global_fef(rho)
     absolute.is_absolute_fef(rho)
     absolute.activating_unitary(rho)
     # rho itself is decomposed once.  Each of the two fef calls adds the

@@ -76,24 +76,25 @@ def test_gellmann_rule_is_an_orthogonal_hermitian_basis(d):
 @pytest.mark.parametrize("kind", ["pauli", "gellmann"])
 def test_orthogonal_bases(kind):
     basis = operator_basis(kind)
-    k = len(basis.elements)
+    k = len(basis.stacked)
     for i in range(k):
-        bi = basis.elements[i]
+        bi = basis.stacked[i]
         assert np.max(np.abs(bi - bi.conj().T)) < 1e-15
         for j in range(k):
-            ip = complex(np.sum(np.conj(bi) * basis.elements[j]))
+            ip = complex(np.sum(np.conj(bi) * basis.stacked[j]))
             if i == j:
                 assert ip.real == pytest.approx(basis.norms[i], abs=1e-12)
             else:
                 assert abs(ip) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["pauli", "gellmann"])
-def test_operator_basis_is_built_once_and_read_only(kind):
+@pytest.mark.parametrize("kind, table", [("pauli", PAULI), ("gellmann", GELLMANN)],
+                         ids=["pauli", "gellmann"])
+def test_operator_basis_is_built_once_and_read_only(kind, table):
     basis = operator_basis(kind)
     assert operator_basis(kind) is basis
-    assert np.array_equal(basis.stacked, np.array(basis.elements))
-    for arr in (basis.stacked, *basis.elements):
+    assert basis.stacked.tobytes() == np.array(table).tobytes()
+    for arr in (basis.stacked, *table):
         with pytest.raises(ValueError):
             arr[0, 0] = 9.0
 

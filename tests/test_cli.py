@@ -1,4 +1,5 @@
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import absfef
 from absfef import absolute, states, tripartite, witness
 from absfef.cli import main
 from absfef.fef import DEFAULT_RESTARTS, fef
@@ -117,7 +119,7 @@ def test_analyze_domain_error_exit_3(runner, monkeypatch):
     assert res.exit_code == 3
     res = runner.invoke(main, ["--seed", "-1", "analyze", "--family", "x1"])
     assert res.exit_code == 3
-    assert "--seed must be >= 0, got -1" in res.output
+    assert "error: seed must be an integer >= 0, got -1" in res.output
     # --seed and --restarts are checked for every command, also for one
     # that never runs fef.
     for args in (["--seed", "-1", "bounds", "--d", "2"],
@@ -259,6 +261,27 @@ def test_option_surface(runner):
         assert "No such option" in res.stderr
 
 
+def test_public_api_surface():
+    # Adding or removing a name that absfef exports shows up here.
+    exported = sorted(name for name, obj in vars(absfef).items()
+                      if not name.startswith("_")
+                      and not isinstance(obj, types.ModuleType))
+    assert exported == [
+        "AbsFefError", "AcinParams", "BasisDecomposition", "BlochParams",
+        "ClassificationReport", "DensityMatrix", "DensityValidationError",
+        "DomainError", "FefResult", "MarginalReport", "MatrixShapeError",
+        "MembershipVerdict", "OperatorBasis", "PurityBounds", "Spectrum",
+        "WitnessOperator", "acin_marginal", "acin_state", "activating_unitary",
+        "bloch_extract", "classII_membership", "classI_membership", "classify",
+        "conjugate", "construct", "decompose", "eig_hermitian", "evaluate",
+        "fef", "fef_lower_bound", "fef_two_qubit_closed_form",
+        "fixture_unitary", "ghzw_marginal", "is_absolute_fef",
+        "is_absolutely_separable_2q", "operator_basis", "partial_trace",
+        "pullback", "purity_bounds", "teleportation_witness",
+        "three_qutrit_marginal", "validate_density",
+    ]
+
+
 def test_restarts_help_names_the_defaults(runner):
     res = runner.invoke(main, ["--help"])
     assert res.exit_code == 0
@@ -295,7 +318,7 @@ def test_witness_absolute_state_exit_4(runner):
 
 def test_witness_explicit_unitary(runner, tmp_path):
     from absfef import states
-    u = states.fixture_unitary("U1").matrix
+    u = states.fixture_unitary("U1")
     path = tmp_path / "u1.json"
     path.write_text(json.dumps(
         {"matrix": [[[float(v.real), float(v.imag)] for v in row]
@@ -320,7 +343,7 @@ def test_witness_malformed_unitary_exit_2(runner, tmp_path, text):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_witness_non_finite_unitary_exit_3(runner, tmp_path, bad):
-    u = states.fixture_unitary("U1").matrix
+    u = states.fixture_unitary("U1")
     rows = [[[float(v.real), float(v.imag)] for v in row] for row in u]
     rows[0][1][0] = bad
     path = tmp_path / "u.json"

@@ -50,7 +50,7 @@ def test_lower_bound_matches_overlap():
 
 def test_fef_known_values():
     assert fef(states.x1()).value == pytest.approx(0.5, abs=1e-6)
-    rot = states.conjugate(states.x1(), states.fixture_unitary("U1").matrix)
+    rot = states.conjugate(states.x1(), states.fixture_unitary("U1"))
     assert fef(rot).value == pytest.approx(2 / 3, abs=1e-6)
     for d in (2, 3):
         restarts = 8 if d == 3 else None

@@ -1,71 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from absfef.errors import DensityValidationError, DomainError, MatrixShapeError
-from absfef.linalg import (DensityMatrix, eig_hermitian, hs_inner, kron,
-                           partial_trace, validate_density)
+from absfef.linalg import (DensityMatrix, eig_hermitian, partial_trace,
+                           validate_density)
 from helpers import ginibre_density
-
-
-def test_kron_matches_numpy():
-    a = np.arange(4).reshape(2, 2)
-    b = np.eye(2) * 1j
-    assert np.array_equal(kron(a, b), np.kron(a, b))
-
-
-_ENTRIES = {
-    np.int64: st.integers(-1000, 1000),
-    np.float64: st.floats(-1e6, 1e6),
-    np.complex128: st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                      allow_infinity=False),
-}
-
-
-@st.composite
-def _matrices(draw):
-    """A 1..4 x 1..4 int, float or complex matrix, possibly a transposed view."""
-    dtype = draw(st.sampled_from(list(_ENTRIES)))
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    m = draw(hnp.arrays(dtype, shape, elements=_ENTRIES[dtype]))
-    return m.T if draw(st.booleans()) else m
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_matrices(), b=_matrices())
-def test_kron_is_bitwise_np_kron(a, b):
-    got = kron(a, b)
-    want = np.kron(a, b)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()  # -0.0 too
-
-
-@pytest.mark.parametrize("a, b", [
-    (np.float64(2.0), np.eye(2)),
-    (np.ones(2), np.eye(2)),
-    (np.eye(2), np.ones((2, 2, 2))),
-])
-def test_kron_rejects_non_matrices(a, b):
-    with pytest.raises(MatrixShapeError):
-        kron(a, b)
-    with pytest.raises(MatrixShapeError):
-        kron(b, a)
-
-
-def test_hs_inner_conjugate_symmetric_and_real_on_hermitian():
-    rng = np.random.default_rng(0)
-    a = ginibre_density(rng, 4)
-    b = ginibre_density(rng, 4)
-    assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)), abs=1e-14)
-    assert abs(hs_inner(a, b).imag) < 1e-14
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(MatrixShapeError):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 def test_eig_hermitian_descending_and_reconstruction():

@@ -6,19 +6,19 @@ import pytest
 
 from absfef import states
 from absfef.errors import DomainError
-from absfef.fef import fef, fef_lower_bound
+from absfef.fef import canonical_ket, fef, fef_lower_bound
 from absfef.linalg import DensityMatrix, partial_trace
 from absfef.tripartite import ghzw_marginal, ghzw_state
 
 
 def test_max_entangled_normalized():
     for d in (2, 3, 4):
-        psi = states.max_entangled(d)
+        psi = canonical_ket(d)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
         nz = np.nonzero(psi)[0]
         assert list(nz) == [i * (d + 1) for i in range(d)]
     with pytest.raises(DomainError):
-        states.max_entangled(1)
+        canonical_ket(1)
 
 
 def test_x1_matrix_exact():
@@ -33,11 +33,11 @@ def test_x1_matrix_exact():
 @pytest.mark.parametrize("q", [0.1, 0.5, 1.0])
 def test_x2_y3_structure(q):
     rho2 = states.x2(q)
-    psi2 = states.max_entangled(2)
+    psi2 = canonical_ket(2)
     ov = np.real(psi2.conj() @ rho2.matrix @ psi2)
     assert ov == pytest.approx(q, abs=1e-12)
     rho3 = states.y3(q)
-    psi3 = states.max_entangled(3)
+    psi3 = canonical_ket(3)
     assert np.real(psi3.conj() @ rho3.matrix @ psi3) == pytest.approx(q, abs=1e-12)
     assert rho3.matrix[1, 1].real == pytest.approx(1 - q, abs=1e-12)
 
@@ -54,7 +54,7 @@ def test_isotropic_limits_and_domain():
     rho = states.isotropic(3, 0.0)
     assert np.max(np.abs(rho.matrix - np.eye(9) / 9)) < 1e-14
     rho = states.isotropic(2, 1.0)
-    psi = states.max_entangled(2)
+    psi = canonical_ket(2)
     assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-14
     with pytest.raises(DomainError):
         states.isotropic(2, -0.5)
@@ -149,7 +149,7 @@ def test_max_entangled_family_is_exact():
     for d in (2, 3):
         rho = states.construct("max_entangled", d=d)
         assert np.array_equal(rho.matrix, states.isotropic(d, 1).matrix)
-        psi = states.max_entangled(d)
+        psi = canonical_ket(d)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-15
     with pytest.raises(DomainError):
         states.construct("max_entangled", d=1)
@@ -195,7 +195,7 @@ def test_every_family_builds_through_construct(name):
 
 @pytest.mark.parametrize("uid, n", [("U1", 4), ("U2", 4), ("U3", 9)])
 def test_fixture_unitaries_unitary(uid, n):
-    u = states.fixture_unitary(uid).matrix
+    u = states.fixture_unitary(uid)
     assert u.shape == (n, n)
     assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
     with pytest.raises(ValueError):
@@ -204,9 +204,9 @@ def test_fixture_unitaries_unitary(uid, n):
 
 def test_fixture_unitary_actions():
     # U1^dag maps |phi2+> to |00>; U2^dag maps it to |01>
-    phi = states.max_entangled(2)
-    u1 = states.fixture_unitary("U1").matrix
-    u2 = states.fixture_unitary("U2").matrix
+    phi = canonical_ket(2)
+    u1 = states.fixture_unitary("U1")
+    u2 = states.fixture_unitary("U2")
     e00 = np.zeros(4)
     e00[0] = 1
     e01 = np.zeros(4)
@@ -214,8 +214,8 @@ def test_fixture_unitary_actions():
     assert np.max(np.abs(u1.conj().T @ phi - e00)) < 1e-12
     assert np.max(np.abs(u2.conj().T @ phi - e01)) < 1e-12
     # U3^dag maps |phi3+> to sqrt(2/3)|01> + sqrt(1/3)|12>
-    phi3 = states.max_entangled(3)
-    u3 = states.fixture_unitary("U3").matrix
+    phi3 = canonical_ket(3)
+    u3 = states.fixture_unitary("U3")
     want = np.zeros(9)
     want[1] = math.sqrt(2 / 3)
     want[5] = math.sqrt(1 / 3)
@@ -229,7 +229,7 @@ def test_unknown_fixture_unitary():
 
 def test_conjugate_preserves_spectrum():
     rho = states.x1()
-    u = states.fixture_unitary("U1").matrix
+    u = states.fixture_unitary("U1")
     rot = states.conjugate(rho, u)
     assert np.linalg.eigvalsh(rot.matrix) == pytest.approx(
         np.linalg.eigvalsh(rho.matrix), abs=1e-12)
