@@ -6,10 +6,20 @@ E_jk + E_kj and antisymmetric -i E_jk + i E_kj for each j < k, then the
 diagonal (sum_{j<k} E_jj - k E_kk) / sqrt(k (k + 1) / 2).  At d = 2 these
 are the Pauli matrices and at d = 3 the Gell-Mann matrices, in their usual
 order.
+
+A product basis B_i (x) B_j on C^n (x) C^n expands a two-party operator H
+as H = sum_ij c_ij B_i (x) B_j with c_ij = Re Tr((B_i (x) B_j)^dag H) /
+(Tr(B_i^dag B_i) Tr(B_j^dag B_j)), real for Hermitian H.  Each basis keeps
+one expansion matrix, built on first use: row i k + j holds vec(B_i (x) B_j)
+with each complex entry as its real and imaginary parts side by side.  As
+Re(conj(x) y) = Re x Re y + Im x Im y, its product with the interleaved
+parts of vec(H) gives every overlap at once (analysis), and its transpose
+times the c_ij gives the interleaved parts of vec(H) back (synthesis).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +70,46 @@ class OperatorBasis:
     def single_dim(self):
         return self.stacked.shape[1]
 
+    @cached_property
+    def expansion_matrix(self):
+        """The read-only (k^2, 2 n^4) expansion matrix (module docstring).
+
+        It holds n^8 complex entries as reals: 4 KB at n = 2, 105 KB at n = 3.
+        """
+        b = self.stacked
+        p = np.array([np.kron(bi, bj).reshape(-1) for bi in b for bj in b])
+        a = p.view(np.float64)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def norm_products(self):
+        """The read-only (k, k) norm products Tr(B_i^dag B_i) Tr(B_j^dag B_j)."""
+        p = np.outer(self.norms, self.norms)
+        p.setflags(write=False)
+        return p
+
+    def expand(self, h):
+        """The (k, k) real coefficients c_ij of an n^2 x n^2 operator H.
+
+        One product with :attr:`expansion_matrix`, whose result does not
+        depend on the memory layout of ``h``, divided by
+        :attr:`norm_products`.  No checks: a caller that takes untrusted
+        input checks shape, Hermiticity and overflow itself.
+        """
+        k = len(self.norms)
+        v = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(np.float64)
+        return (self.expansion_matrix @ v).reshape(k, k) / self.norm_products
+
+    def synthesize(self, coefficients):
+        """H = sum_ij c_ij B_i (x) B_j, the inverse of :meth:`expand`.
+
+        One product with the transpose of :attr:`expansion_matrix`.
+        """
+        nn = self.single_dim ** 2
+        c = np.asarray(coefficients, dtype=float).reshape(-1)
+        return (self.expansion_matrix.T @ c).view(complex).reshape(nn, nn)
+
 
 def _build(kind, elements, labels):
     for b in elements:
@@ -81,7 +131,8 @@ def operator_basis(kind):
     """Return the named operator basis: pauli or gellmann.
 
     Each kind is built once, at import, and every call returns that same
-    object; its arrays are read-only.
+    object; its arrays, the expansion matrix built on first use included,
+    are read-only.
     """
     try:
         return _BASES[kind]

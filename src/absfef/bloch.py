@@ -16,7 +16,7 @@ from .errors import DomainError
 from .linalg import DensityMatrix
 
 _MEMBER_TOL = 1e-12
-_SIGMA = operator_basis("pauli").stacked
+_PAULI = operator_basis("pauli")
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,11 @@ class BlochParams:
     t: np.ndarray
 
     def reconstruct(self):
-        """rho = (1/4) sum_ij c_ij s_i (x) s_j, the inverse of bloch_extract."""
-        c = np.block([[np.ones((1, 1)), 2 * self.b[None, :]],
-                      [2 * self.a[:, None], 4 * self.t]])
-        return np.einsum("ac,aik,cjl->ijkl", c, _SIGMA, _SIGMA).reshape(4, 4) / 4
+        """rho = sum_ij c_ij s_i (x) s_j, the inverse of bloch_extract, with
+        c_00 = 1/4, c_i0 = a_i/2, c_0j = b_j/2 and c_ij = t_ij."""
+        c = np.block([[np.full((1, 1), 0.25), self.b[None, :] / 2],
+                      [self.a[:, None] / 2, self.t]])
+        return _PAULI.synthesize(c)
 
 
 def bloch_extract(rho: DensityMatrix):
@@ -39,11 +40,10 @@ def bloch_extract(rho: DensityMatrix):
     if rho.d != 2:
         raise DomainError(
             f"Bloch extraction needs a 2x2 bipartition, got {rho.d}x{rho.d}")
-    # c[i, j] = Tr(rho s_i (x) s_j), with s_0 = I
-    c = np.einsum("ijkl,aki,clj->ac", rho.matrix.reshape(2, 2, 2, 2),
-                  _SIGMA, _SIGMA).real
-    a, b, t = c[1:, 0] / 2, c[0, 1:] / 2, c[1:, 1:] / 4
-    return BlochParams(a=a, b=b, t=t)
+    # the Pauli expansion c[i, j] = Tr(rho s_i (x) s_j) / 4, with s_0 = I;
+    # rho is Hermitian by validation, so it is not checked again
+    c = _PAULI.expand(rho.matrix)
+    return BlochParams(a=2 * c[1:, 0], b=2 * c[0, 1:], t=c[1:, 1:])
 
 
 class ClassIResult(NamedTuple):

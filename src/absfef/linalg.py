@@ -92,7 +92,8 @@ def partial_trace(m, dims, drop):
     dims : sequence of int
         Subsystem dimensions, in tensor order.
     drop : int
-        Zero-based index of the subsystem to trace out.
+        Zero-based index of the subsystem to trace out; a non-integer
+        raises :class:`DomainError`.
 
     Returns
     -------
@@ -106,6 +107,10 @@ def partial_trace(m, dims, drop):
     if m.shape != (n, n):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match subsystem dims {dims}")
+    try:
+        drop = operator.index(drop)
+    except TypeError:
+        raise DomainError(f"drop index must be an integer, got {drop!r}") from None
     if not 0 <= drop < len(dims):
         raise MatrixShapeError(f"drop index {drop} out of range for {len(dims)} subsystems")
     k = len(dims)
@@ -149,9 +154,10 @@ def validate_density(m, d_a, d_b):
     :class:`MatrixShapeError` unless they are equal and match the matrix, and
     :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
-    trace or positivity fails beyond ``HERMITICITY_TOL``.  The state keeps
-    the Hermitian part (M + M^dag)/2, and the positivity check computes its
-    ``spectrum``.
+    trace or positivity fails beyond ``HERMITICITY_TOL``.  A finite entry of
+    modulus above 1 + (d^2 + 1) ``HERMITICITY_TOL`` fails positivity before
+    any sum is formed.  The state keeps the Hermitian part (M + M^dag)/2,
+    and the positivity check computes its ``spectrum``.
     """
     m = np.asarray(m, dtype=complex)
     d, d_b = as_dim(d_a), as_dim(d_b)
@@ -160,8 +166,17 @@ def validate_density(m, d_a, d_b):
     if m.shape != (d * d, d * d):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match dims {d}x{d}")
-    _check_finite(m)
-    asym = float(np.max(np.abs(m - m.conj().T)))
+    # a PSD unit-trace matrix has |m_ij| <= lambda_max <= 1; refusing larger
+    # entries first keeps the sums below from overflowing.  The later checks
+    # let lambda_max reach 1 + d^2 tol and M differ from its Hermitian part
+    # by tol / 2, so this bound refuses nothing that they would accept.
+    big = float(np.abs(m).max())  # the method skips np.max's Python layer
+    if not big <= 1 + (d * d + 1) * HERMITICITY_TOL:  # NaN and inf fail too
+        _check_finite(m)
+        raise DensityValidationError(
+            "positivity", big, f"entry of modulus {big:.12g} exceeds 1, the "
+            f"bound on every entry of a density matrix")
+    asym = float(np.abs(m - m.conj().T).max())
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym)
     trace_err = abs(complex(np.trace(m)) - 1.0)

@@ -131,10 +131,11 @@ def construct(family, /, **params):
     not take and a missing parameter that has no default, before the
     builder runs.
     """
-    if family not in FAMILIES:
+    try:
+        spec = FAMILIES[family]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown family {family!r}; "
-                          f"expected one of {tuple(FAMILIES)}")
-    spec = FAMILIES[family]
+                          f"expected one of {tuple(FAMILIES)}") from None
     foreign = [name for name in params if name not in spec.params]
     if foreign:
         takes = ", ".join(spec.params) or "no parameters"
@@ -180,9 +181,10 @@ _FIXTURE_UNITARIES = {"U1": _U1, "U2": _U2, "U3": _U3}
 
 def fixture_unitary(uid):
     """The read-only matrix of the fixture unitary "U1", "U2" or "U3"."""
-    if uid not in _FIXTURE_UNITARIES:
-        raise DomainError(f"unknown fixture unitary {uid!r}")
-    m = _FIXTURE_UNITARIES[uid].copy()
+    try:
+        m = _FIXTURE_UNITARIES[uid].copy()
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise DomainError(f"unknown fixture unitary {uid!r}") from None
     m.setflags(write=False)
     return m
 

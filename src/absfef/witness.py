@@ -31,10 +31,16 @@ def teleportation_witness(d):
     """The canonical witness W = I/d - |psi+><psi+|.
 
     Tr(W sigma) >= 0 for every sigma with FEF <= 1/d, and W detects states
-    aligned with |psi+> beyond the threshold.
+    aligned with |psi+> beyond the threshold.  W is built once per d and
+    kept, read-only, for the 8 most recently used d.
     """
-    d = as_dim(d)
+    return _teleportation_witness(as_dim(d))
+
+
+@functools.lru_cache(maxsize=8)
+def _teleportation_witness(d):
     w = np.eye(d * d, dtype=complex) / d - canonical_projector(d)
+    w.setflags(write=False)
     return WitnessOperator(matrix=w)
 
 
@@ -83,34 +89,7 @@ class BasisDecomposition:
 
     def reconstruct(self):
         """H = sum_ab c_ab B_a (x) B_b, the inverse of :func:`decompose`."""
-        b = operator_basis(self.basis_kind).stacked
-        n = b.shape[1]
-        h = np.einsum("ab,aik,bjl->ijkl", self.coefficients, b, b)
-        return h.reshape(n * n, n * n)
-
-
-@functools.cache
-def _conj_products(kind):
-    """conj(B_i (x) B_j) over one basis kind, shape (k, k, n^2, n^2).
-
-    Built once per process and read-only.
-    """
-    b = operator_basis(kind).stacked
-    p = np.array([[np.conj(np.kron(bi, bj)) for bj in b] for bi in b])
-    p.setflags(write=False)
-    return p
-
-
-@functools.cache
-def _norm_products(kind):
-    """The (k, k) matrix of norm products Tr(B_i^dag B_i) Tr(B_j^dag B_j).
-
-    Built once per process and read-only.
-    """
-    norms = operator_basis(kind).norms
-    p = np.outer(norms, norms)
-    p.setflags(write=False)
-    return p
+        return operator_basis(self.basis_kind).synthesize(self.coefficients)
 
 
 def decompose(h, basis_kind):
@@ -118,9 +97,10 @@ def decompose(h, basis_kind):
 
     The coefficients are the real, normalized Hilbert-Schmidt overlaps
     Tr((B_i (x) B_j)^dag H) / (Tr(B_i^dag B_i) Tr(B_j^dag B_j)), so
-    reconstruction is exact to 1e-10.  An operator with a NaN or inf entry,
-    one that is not Hermitian, or one so large that a coefficient overflows
-    raises :class:`DomainError`.
+    reconstruction is exact to 1e-10; they are one product with the basis's
+    cached expansion matrix (see :mod:`absfef.bases`).  An operator with a
+    NaN or inf entry, one that is not Hermitian, or one so large that a
+    coefficient overflows raises :class:`DomainError`.
     """
     h = np.asarray(h, dtype=complex)
     basis = operator_basis(basis_kind)
@@ -129,17 +109,14 @@ def decompose(h, basis_kind):
         raise MatrixShapeError(
             f"operator of shape {h.shape} does not match the {basis_kind} "
             f"basis dimension {n * n}")
-    with np.errstate(invalid="ignore"):
+    # huge entries overflow both the check and the product; each then fails
+    # its own test below, with no numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
         asym = float(np.max(np.abs(h - h.conj().T)))
-    if not asym <= _HERM_TOL:  # NaN fails too
-        raise DomainError(f"operator must be finite and Hermitian: "
-                          f"max |H - H^dag| = {asym:.3e}")
-    # the product takes the stack's C order whatever the layout of h, so
-    # each (i, j) reduces one contiguous run of n^4 entries with the same
-    # pairwise summation as np.sum of that single n^2 x n^2 product
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlaps = (_conj_products(basis_kind) * h).sum(axis=(2, 3))
-    coeffs = overlaps.real / _norm_products(basis_kind)
+        if not asym <= _HERM_TOL:  # NaN fails too
+            raise DomainError(f"operator must be finite and Hermitian: "
+                              f"max |H - H^dag| = {asym:.3e}")
+        coeffs = basis.expand(h)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{basis_kind} coefficients overflow: the operator's "
                           f"entries are too large to decompose")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from absfef import states
+from absfef import states, witness
 from absfef.bases import PAULI
 from absfef.bloch import (bloch_extract, classI_membership, classII_membership)
 from absfef.errors import DomainError
@@ -21,6 +23,22 @@ def test_extract_reconstruct_roundtrip():
         assert np.max(np.abs(bp.b - c[0, 1:] / 2)) < 1e-14
         assert np.max(np.abs(bp.t - c[1:, 1:] / 4)) < 1e-14
         assert np.max(np.abs(bp.reconstruct() - rho.matrix)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_extract_is_the_scaled_pauli_decomposition(seed, rank):
+    # rho = sum_ij c_ij s_i (x) s_j with c_00 = 1/4, c_i0 = a_i/2,
+    # c_0j = b_j/2 and c_ij = t_ij
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = validate_density(g @ g.conj().T / np.sum(np.abs(g) ** 2), 2, 2)
+    bp = bloch_extract(rho)
+    c = witness.decompose(rho.matrix, "pauli").coefficients
+    assert c[0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert np.max(np.abs(bp.a - 2 * c[1:, 0])) <= 1e-15
+    assert np.max(np.abs(bp.b - 2 * c[0, 1:])) <= 1e-15
+    assert np.max(np.abs(bp.t - c[1:, 1:])) <= 1e-15
 
 
 def test_extract_needs_two_qubits():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -101,6 +104,25 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     _write_state(path4, np.eye(4) / 4, (2.5, 2.9))  # not truncated to 2x2
     res = runner.invoke(main, ["analyze", "--input", str(path4)])
     assert res.exit_code == 2
+
+
+def test_analyze_oversized_entry_exit_2_without_warnings(tmp_path):
+    # finite, Hermitian and unit trace, but |m_01| > 1 cannot be PSD; run as
+    # a fresh process so that a numpy warning would reach its real stderr
+    m = np.eye(4) / 4
+    m[0, 1] = m[1, 0] = 1e308
+    path = tmp_path / "oversized.json"
+    _write_state(path, m, (2, 2))
+    src = str(Path(absfef.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-m", "absfef.cli", "analyze",
+                          "--input", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2
+    assert "RuntimeWarning" not in res.stderr
+    assert res.stderr.startswith("error: entry of modulus 1e+308 exceeds 1")
 
 
 def test_analyze_missing_file_exit_5(runner, tmp_path):

@@ -61,6 +61,10 @@ def test_partial_trace_shape_errors():
         partial_trace(np.eye(6) / 6, [2, 2], 0)
     with pytest.raises(MatrixShapeError):
         partial_trace(np.eye(4) / 4, [2, 2], 2)
+    with pytest.raises(DomainError, match="drop index must be an integer"):
+        partial_trace(np.eye(4) / 4, [2, 2], 1.5)
+    assert np.array_equal(partial_trace(np.eye(4) / 4, [2, 2], np.int64(1)),
+                          np.eye(2) / 2)
 
 
 def test_validate_density_accepts_and_freezes():
@@ -70,6 +74,9 @@ def test_validate_density_accepts_and_freezes():
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
     assert rho.purity() == pytest.approx(0.25)
+    # eigenvalues down to -HERMITICITY_TOL lift the top entry past 1
+    edge = validate_density(np.diag([1 + 3e-10, -1e-10, -1e-10, -1e-10]), 2, 2)
+    assert edge.spectrum.lambda_max == 1 + 3e-10
 
 
 def test_density_spectrum_is_cached_descending_and_read_only():
@@ -111,6 +118,13 @@ def _mixed_with(*entries):
     (np.diag([1.5, -0.5, 0, 0]), "positivity"),
     (np.full((4, 4), np.nan), "finiteness"),
     (_mixed_with((0, 0, np.inf)), "finiteness"),
+    # |m_ij| <= 1 on a density matrix: larger entries are refused before any
+    # sum that could overflow is formed (the suite turns RuntimeWarning into
+    # an error); Hermitian with unit trace, then with M - M^dag and the
+    # trace out of range too
+    (_mixed_with((0, 1, 1e308), (1, 0, 1e308)), "positivity"),
+    (_mixed_with((0, 1, 1e308), (1, 0, -1e308)), "positivity"),
+    (_mixed_with((0, 0, 1e308), (1, 1, -1e308)), "positivity"),
 ])
 def test_validate_density_names_invariant(m, invariant):
     with pytest.raises(DensityValidationError) as exc:

@@ -110,6 +110,8 @@ def test_construct():
     assert rho.d == 3
     with pytest.raises(DomainError, match="unknown family 'unknown_family'"):
         states.construct("unknown_family")
+    with pytest.raises(DomainError, match=r"unknown family \['x1'\]"):
+        states.construct(["x1"])
     maxent = states.construct("max_entangled", d=2)
     assert maxent.purity() == pytest.approx(1.0, abs=1e-12)
     rho = states.construct("ghzw", p=0.3)
@@ -223,8 +225,9 @@ def test_fixture_unitary_actions():
 
 
 def test_unknown_fixture_unitary():
-    with pytest.raises(DomainError):
-        states.fixture_unitary("U4")
+    for uid in ("U4", ["U1"], None):
+        with pytest.raises(DomainError, match="unknown fixture unitary"):
+            states.fixture_unitary(uid)
 
 
 def test_conjugate_preserves_spectrum():

@@ -28,6 +28,18 @@ def test_teleportation_witness_structure():
                           witness.teleportation_witness(3).matrix)
 
 
+def test_teleportation_witness_is_cached_and_read_only():
+    for d in (2, 3, 4):
+        w = witness.teleportation_witness(d)
+        assert witness.teleportation_witness(d) is w
+        assert witness.teleportation_witness(np.int64(d)) is w
+        with pytest.raises(ValueError):
+            w.matrix[0, 0] = 9.0
+        s = witness.pullback(w, np.eye(d * d))
+        assert s.matrix.flags.writeable
+        assert not np.shares_memory(s.matrix, w.matrix)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 1), (2, 2)])
 def test_non_finite_input_fails_both_tolerance_checks(bad, where):
@@ -121,16 +133,21 @@ def test_decompose_roundtrip_orthogonal(kind, n):
 
 
 def _decompose_with_np_kron(h, kind):
-    """The coefficients of ``witness.decompose``, built on ``np.kron``."""
+    """The coefficients of ``witness.decompose``, built on ``np.kron``.
+
+    Row i k + j holds vec(B_i (x) B_j) as interleaved real and imaginary
+    parts, so one matrix-vector product with the interleaved parts of vec(h)
+    gives every Re Tr((B_i (x) B_j)^dag h), each then divided by its norm
+    product.
+    """
     basis = operator_basis(kind)
     k = len(basis.stacked)
-    coeffs = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            bij = np.kron(basis.stacked[i], basis.stacked[j])
-            val = complex(np.sum(np.conj(bij) * h))
-            coeffs[i, j] = val.real / (basis.norms[i] * basis.norms[j])
-    return coeffs
+    rows = np.array([np.kron(bi, bj).reshape(-1).view(np.float64)
+                     for bi in basis.stacked for bj in basis.stacked])
+    parts = np.array(h, dtype=complex, order="C").reshape(-1).view(np.float64)
+    overlaps = (rows @ parts).reshape(k, k)
+    return overlaps / np.array([[ni * nj for nj in basis.norms]
+                                for ni in basis.norms])
 
 
 @pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3)])
@@ -174,21 +191,26 @@ def test_decompose_is_bitwise_in_every_memory_layout(kind, n):
 
 @pytest.mark.parametrize("kind, n", [("pauli", 2), ("gellmann", 3)])
 def test_decompose_results_do_not_alias_the_cache(kind, n):
-    cached = witness._conj_products(kind)
-    with pytest.raises(ValueError):
-        cached[(0,) * cached.ndim] = 9.0
+    basis = operator_basis(kind)
     h = np.diag(np.arange(n * n, dtype=float))
     dec = witness.decompose(h, kind)
     want = dec.coefficients.copy()
     back = dec.reconstruct()
+    cached = (basis.expansion_matrix, basis.norm_products)
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
+    assert basis.expansion_matrix.shape == (n ** 4, 2 * n ** 4)
     for arr in (dec.coefficients, back):
-        assert not np.shares_memory(arr, cached)
-        assert not np.shares_memory(arr, operator_basis(kind).stacked)
+        for matrix in (*cached, basis.stacked):
+            assert not np.shares_memory(arr, matrix)
     dec.coefficients[:] = 9.0
     back[:] = 9.0
     again = witness.decompose(h, kind)
     assert np.array_equal(again.coefficients, want)
     assert np.max(np.abs(again.reconstruct() - h)) < 1e-10
+    assert basis.expansion_matrix is cached[0]
+    assert basis.norm_products is cached[1]
 
 
 def test_decompose_s1_pauli_pattern():
@@ -209,6 +231,11 @@ def test_decompose_rejects_bad_input():
         witness.decompose(np.eye(9), "pauli")
     with pytest.raises(DomainError):
         witness.decompose(np.eye(4), "fourier")
+    # H - H^dag overflows here; the check still refuses H, with no warning
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1], h[1, 0] = 1e308, -1e308
+    with pytest.raises(DomainError, match="Hermitian"):
+        witness.decompose(h, "pauli")
 
 
 @pytest.mark.parametrize("kind, n", [("pauli", 4), ("gellmann", 9)])
