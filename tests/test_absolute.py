@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absfef import absolute, states
+from absfef import absolute, states, witness
 from absfef.errors import DomainError
 from absfef.fef import canonical_ket, fef
 from absfef.linalg import validate_density
@@ -41,15 +41,24 @@ def test_max_global_fef_is_lambda_max():
         float(np.linalg.eigvalsh(rho.matrix)[-1]), abs=1e-12)
 
 
+def _diag_state(weights):
+    """The d (x) d state diagonal in the computational basis."""
+    d = int(round(len(weights) ** 0.5))
+    return validate_density(np.diag(weights).astype(complex), d, d)
+
+
 # States whose top eigenvector is orthogonal to |psi+> or equal to it: the
 # two extremes of the Householder vector w = v + e^{i phi} |psi+>.
 _ACTIVATION_EDGE_CASES = {
     2: [states.comp_diag([0.1, 0.7, 0.1, 0.1]), states.isotropic(2, 0.9)],
     3: [states.isotropic(3, 0.9)],
+    # top eigenvector |01>, orthogonal to |psi+>; then |psi+> itself
+    4: [_diag_state(np.full(16, 0.02) + 0.68 * np.eye(16)[1]),
+        states.isotropic(4, 0.9)],
 }
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_activating_unitary_attains_lambda_max(d):
     rng = np.random.default_rng(21)
     randoms = [validate_density(ginibre_density(rng, d * d), d, d)
@@ -62,6 +71,26 @@ def test_activating_unitary_attains_lambda_max(d):
         psi = canonical_ket(d)
         overlap = float(np.real(psi.conj() @ rot.matrix @ psi))
         assert overlap == pytest.approx(rho.spectrum.lambda_max, abs=1e-8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), rank_frac=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_activation_and_witness_chain(d, rank_frac, seed):
+    # The activating unitary lifts the canonical overlap to lambda_max, and
+    # the witness pulled back by it reads 1/d - lambda_max on the state.
+    n = d * d
+    rank = 1 + min(int(rank_frac * n), n - 1)
+    rho = validate_density(ginibre_density(np.random.default_rng(seed), n, rank),
+                           d, d)
+    lam = rho.spectrum.lambda_max
+    u = absolute.activating_unitary(rho)
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
+    psi = canonical_ket(d)
+    rot = u @ rho.matrix @ u.conj().T
+    assert abs(np.vdot(psi, rot @ psi) - lam) <= 1e-12
+    s = witness.pullback(witness.teleportation_witness(d), u)
+    assert abs(witness.evaluate(s, rho) - (1 / d - lam)) <= 1e-12
 
 
 def test_absolute_states_never_exceed_threshold():
