@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .fef import canonical_ket, fef
+from .fef import fef
 from .linalg import DensityMatrix, as_dim
 
 BOUNDARY_TOL = 1e-9
@@ -58,14 +58,21 @@ def activating_unitary(rho: DensityMatrix):
     """Global unitary rotating the top eigenvector onto |psi+> (up to a phase).
 
     The Householder reflection U = I - 2 w w^dag / |w|^2 with
-    w = v + e^{i phi} |psi+>, phi = arg <psi+|v>, sends v to
-    -e^{i phi} |psi+>; |w|^2 = 2 + 2 |<psi+|v>| >= 2, so no case needs a
-    branch.  The rotated state achieves canonical overlap lambda_max.
+    w = v + e^{i phi} |psi+>, e^{i phi} = c / |c| (1 if c = 0) for
+    c = <psi+|v>, read off |psi+>'s support |ii>, sends v to
+    -e^{i phi} |psi+>; |w|^2 = 2 + 2 |c| >= 2, so no case needs a branch.
+    The rotated state achieves canonical overlap lambda_max.
     """
-    psi = canonical_ket(rho.d)
+    d = rho.d
     v = rho.spectrum.eigenvectors[:, 0]
-    w = v + np.exp(1j * np.angle(np.vdot(psi, v))) * psi
-    return np.eye(v.size) - (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
+    root_d = math.sqrt(d)
+    c = complex(v[:: d + 1].sum()) / root_d
+    r = abs(c)
+    w = v.copy()
+    w[:: d + 1] += (c / r if r else 1.0) / root_d
+    u = w[:, None] * ((-1 / (1 + r)) * w.conj())
+    u.ravel()[:: v.size + 1] += 1  # ravel() is a view: u is fresh, C-ordered
+    return u
 
 
 def is_absolutely_separable_2q(spectrum):

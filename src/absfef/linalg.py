@@ -6,6 +6,7 @@ the ordering under which all fixture matrices in this package decode
 correctly.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,20 +61,26 @@ def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Raises :class:`DensityValidationError` when an entry is not finite or
-    max |H - H^dag| exceeds ``HERMITICITY_TOL``.  Returns a
-    :class:`Spectrum` with eigenvalues sorted in descending order.
-    Degenerate subspaces come back with an arbitrary orthonormal basis; no
-    canonicalization is attempted.
+    max |H - H^dag| exceeds ``HERMITICITY_TOL`` (an overflowing H - H^dag
+    included), and :class:`DomainError` when an eigenvalue of a finite
+    Hermitian H overflows.  Returns a :class:`Spectrum` with eigenvalues
+    sorted in descending order.  Degenerate subspaces come back with an
+    arbitrary orthonormal basis; no canonicalization is attempted.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {h.shape}")
     _check_finite(h)
-    asym = float(np.max(np.abs(h - h.conj().T)))
+    with np.errstate(over="ignore"):  # an overflow reads inf and fails below
+        asym = float(np.abs(h - h.conj().T).max())
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym,
                                      f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
-    return _eigh_descending(h)
+    spec = _eigh_descending(h)
+    if not np.isfinite(spec.eigenvalues).all():
+        raise DomainError("eigenvalues overflow: the matrix's entries are too "
+                          "large to decompose")
+    return spec
 
 
 def _eigh_descending(h):
@@ -103,7 +110,7 @@ def partial_trace(m, dims, drop):
     """
     m = np.asarray(m, dtype=complex)
     dims = [as_dim(d) for d in dims]
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     if m.shape != (n, n):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match subsystem dims {dims}")
@@ -116,7 +123,7 @@ def partial_trace(m, dims, drop):
     k = len(dims)
     t = m.reshape(dims + dims)
     t = np.trace(t, axis1=drop, axis2=k + drop)
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != drop]))
+    rest = math.prod(d for i, d in enumerate(dims) if i != drop)
     return t.reshape(rest, rest)
 
 
@@ -176,13 +183,14 @@ def validate_density(m, d_a, d_b):
         raise DensityValidationError(
             "positivity", big, f"entry of modulus {big:.12g} exceeds 1, the "
             f"bound on every entry of a density matrix")
-    asym = float(np.abs(m - m.conj().T).max())
+    mh = m.conj().T
+    asym = float(np.abs(m - mh).max())
     if asym > HERMITICITY_TOL:
         raise DensityValidationError("hermiticity", asym)
-    trace_err = abs(complex(np.trace(m)) - 1.0)
+    trace_err = abs(complex(m.trace()) - 1.0)
     if trace_err > HERMITICITY_TOL:
         raise DensityValidationError("trace", trace_err)
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + mh)
     h.setflags(write=False)
     rho = DensityMatrix(matrix=h, d=d)
     lam_min = float(rho.spectrum.eigenvalues[-1])

@@ -114,16 +114,29 @@ def acin_marginal(params: AcinParams, drop):
     return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop, eigs, s)
 
 
+def _projector(n, support, amplitude):
+    """Read-only |k><k| of the length-``n`` ket k = ``amplitude`` on ``support``."""
+    ket = np.zeros(n, dtype=complex)
+    ket[list(support)] = amplitude
+    proj = np.outer(ket, ket.conj())
+    proj.setflags(write=False)
+    return proj
+
+
+# the pure states of the two mixture families below, built once; _PERM3 is
+# spread over the six |ijk> with i, j, k all different
+_GHZ = _projector(8, (0, 7), 1 / math.sqrt(2))
+_W = _projector(8, (1, 2, 4), 1 / math.sqrt(3))
+_GHZ3 = _projector(27, (0, 13, 26), 1 / math.sqrt(3))
+_PERM3 = _projector(27, (5, 7, 11, 15, 19, 21), 1 / math.sqrt(6))
+
+
 def ghzw_state(p):
     """Mixture p |GHZ><GHZ| + (1-p) |W><W| of three qubits."""
     p = float(p)
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    g = np.zeros(8, dtype=complex)
-    g[0] = g[7] = 1 / math.sqrt(2)
-    w = np.zeros(8, dtype=complex)
-    w[1] = w[2] = w[4] = 1 / math.sqrt(3)
-    return p * np.outer(g, g.conj()) + (1 - p) * np.outer(w, w.conj())
+    return p * _GHZ + (1 - p) * _W
 
 
 def ghzw_marginal(p):
@@ -143,14 +156,8 @@ def three_qutrit_state(alpha, beta):
             and alpha + beta <= 1 + 1e-12):  # NaN fails too
         raise DomainError(
             f"(alpha, beta) = ({alpha}, {beta}) outside the valid mixture triangle")
-    g = np.zeros(27, dtype=complex)
-    for i in range(3):
-        g[i * 9 + i * 3 + i] = 1 / math.sqrt(3)
-    psi = np.zeros(27, dtype=complex)
-    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        psi[i * 9 + j * 3 + k] = 1 / math.sqrt(6)
-    m = (alpha * np.outer(g, g.conj()) + beta * np.outer(psi, psi.conj())
-         + (1 - alpha - beta) / 27 * np.eye(27))
+    m = alpha * _GHZ3 + beta * _PERM3
+    m.ravel()[:: 27 + 1] += (1 - alpha - beta) / 27  # white noise on the diagonal
     return m
 
 

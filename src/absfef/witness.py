@@ -55,12 +55,14 @@ def pullback(w: WitnessOperator, u):
     if u.shape != (n, n):
         raise MatrixShapeError(f"unitary of shape {u.shape} does not match "
                                f"witness dimension {n}")
+    uh = u.conj().T
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+        g = uh @ u
+        g.ravel()[:: n + 1] -= 1  # ravel() is a view: g is fresh, C-ordered
+        dev = float(np.abs(g).max())
     if not dev <= _UNITARY_TOL:  # NaN fails too
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
-    s = u.conj().T @ w.matrix @ u
-    return WitnessOperator(matrix=s)
+    return WitnessOperator(matrix=uh @ w.matrix @ u)
 
 
 def evaluate(s: WitnessOperator, rho: DensityMatrix):
@@ -73,7 +75,7 @@ def evaluate(s: WitnessOperator, rho: DensityMatrix):
         raise MatrixShapeError(f"witness shape {s.matrix.shape} does not match "
                                f"state shape {rho.matrix.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        val = complex(np.sum(s.matrix * rho.matrix.T))
+        val = complex((s.matrix * rho.matrix.T).sum())
     if not (math.isfinite(val.real) and abs(val.imag) <= 1e-10):  # NaN fails
         raise DomainError(f"expectation {val} is not a finite real number")
     return float(val.real)
@@ -112,7 +114,7 @@ def decompose(h, basis_kind):
     # huge entries overflow both the check and the product; each then fails
     # its own test below, with no numpy warning
     with np.errstate(invalid="ignore", over="ignore"):
-        asym = float(np.max(np.abs(h - h.conj().T)))
+        asym = float(np.abs(h - h.conj().T).max())
         if not asym <= _HERM_TOL:  # NaN fails too
             raise DomainError(f"operator must be finite and Hermitian: "
                               f"max |H - H^dag| = {asym:.3e}")

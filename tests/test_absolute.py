@@ -41,19 +41,13 @@ def test_max_global_fef_is_lambda_max():
         float(np.linalg.eigvalsh(rho.matrix)[-1]), abs=1e-12)
 
 
-def _diag_state(weights):
-    """The d (x) d state diagonal in the computational basis."""
-    d = int(round(len(weights) ** 0.5))
-    return validate_density(np.diag(weights).astype(complex), d, d)
-
-
 # States whose top eigenvector is orthogonal to |psi+> or equal to it: the
 # two extremes of the Householder vector w = v + e^{i phi} |psi+>.
 _ACTIVATION_EDGE_CASES = {
     2: [states.comp_diag([0.1, 0.7, 0.1, 0.1]), states.isotropic(2, 0.9)],
     3: [states.isotropic(3, 0.9)],
     # top eigenvector |01>, orthogonal to |psi+>; then |psi+> itself
-    4: [_diag_state(np.full(16, 0.02) + 0.68 * np.eye(16)[1]),
+    4: [validate_density(np.diag(np.full(16, 0.02) + 0.68 * np.eye(16)[1]), 4, 4),
         states.isotropic(4, 0.9)],
 }
 
@@ -91,6 +85,18 @@ def test_activation_and_witness_chain(d, rank_frac, seed):
     assert abs(np.vdot(psi, rot @ psi) - lam) <= 1e-12
     s = witness.pullback(witness.teleportation_witness(d), u)
     assert abs(witness.evaluate(s, rho) - (1 / d - lam)) <= 1e-12
+
+
+def test_activating_unitary_is_fresh_and_leaves_the_spectrum_alone():
+    rho = states.x1()
+    u = absolute.activating_unitary(rho)
+    want = u.copy()
+    assert u.flags.writeable
+    for arr in (rho.matrix, rho.spectrum.eigenvectors, rho.spectrum.eigenvalues):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(u, arr)
+    u[:] = 9.0
+    assert np.array_equal(absolute.activating_unitary(rho), want)
 
 
 def test_absolute_states_never_exceed_threshold():

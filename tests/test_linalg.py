@@ -36,6 +36,20 @@ def test_eig_hermitian_rejects_non_finite_entries(bad):
     assert (exc.value.invariant, exc.value.magnitude) == ("finiteness", 1.0)
 
 
+def test_eig_hermitian_refuses_overflow_without_warnings():
+    # the suite turns any RuntimeWarning into an error
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1], h[1, 0] = 1e308, -1e308  # H - H^dag overflows
+    with pytest.raises(DensityValidationError) as exc:
+        eig_hermitian(h)
+    assert exc.value.invariant == "hermiticity"
+    # finite and Hermitian, but the top eigenvalue 3.4e308 overflows
+    h = np.diag([1.7e308, -1.7e308, 1.7e308, 0]).astype(complex)
+    h[0, 2] = h[2, 0] = 1.7e308
+    with pytest.raises(DomainError, match="overflow"):
+        eig_hermitian(h)
+
+
 def test_partial_trace_traces_and_linearity():
     rng = np.random.default_rng(2)
     a = ginibre_density(rng, 8)

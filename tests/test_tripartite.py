@@ -124,3 +124,22 @@ def test_three_qutrit_vertices():
     for alpha, beta in ((math.nan, 0), (0, math.nan)):
         with pytest.raises(DomainError):
             tripartite.three_qutrit_state(alpha, beta)
+
+
+def test_states_do_not_alias_the_cached_projectors():
+    cached = (tripartite._GHZ, tripartite._W, tripartite._GHZ3, tripartite._PERM3)
+    for proj in cached:
+        with pytest.raises(ValueError):
+            proj[0, 0] = 9.0
+        assert np.trace(proj).real == pytest.approx(1.0, abs=1e-15)
+    for build, args in ((tripartite.ghzw_state, (1.0,)),
+                        (tripartite.ghzw_state, (0.3,)),
+                        (tripartite.three_qutrit_state, (1.0, 0.0)),
+                        (tripartite.three_qutrit_state, (0.2, 0.5))):
+        m = build(*args)
+        want = m.copy()
+        assert m.flags.writeable
+        for proj in cached:
+            assert not np.shares_memory(m, proj)
+        m[:] = 9.0
+        assert np.array_equal(build(*args), want)
