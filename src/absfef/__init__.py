@@ -10,7 +10,7 @@ from .absolute import (ClassificationReport, MembershipVerdict, PurityBounds,
                        activating_unitary, classify, is_absolute_fef,
                        is_absolutely_separable_2q, purity_bounds)
 from .bases import OperatorBasis, operator_basis
-from .bloch import BlochParams, bloch_extract, classI_membership, classII_membership
+from .bloch import BlochParams, bloch_extract
 from .errors import (AbsFefError, DensityValidationError, DomainError,
                      MatrixShapeError)
 from .fef import FefResult, fef, fef_lower_bound, fef_two_qubit_closed_form

@@ -99,8 +99,9 @@ def is_absolutely_separable_2q(spectrum):
 class ClassificationReport:
     """Three-way teleportation-usefulness verdict for a state.
 
-    ``k_copy_nonlocal`` is None for ABSOLUTE states: the spectral criterion
-    gives no conclusion there, and the report must not claim locality.
+    ``k_copy_nonlocal`` is about rho, not the activated state: True for
+    USEFUL (FEF > 1/d makes rho k-copy nonlocal; Palazuelos, PRL 109,
+    190401 (2012)), otherwise None ("unknown"): no verdict either way.
     """
 
     label: str
@@ -133,12 +134,11 @@ def classify(rho: DensityMatrix, restarts=None, seed=0):
     elif verdict.absolute:
         label, boundary = LABEL_ABSOLUTE, verdict.boundary
     else:
-        # activation exists; the activated state has FEF > 1/d, hence k-copy
         label, boundary = LABEL_ACTIVATABLE, at_fef.boundary
     return ClassificationReport(
         label=label, lambda_max=verdict.lambda_max, fef_value=f_val,
         threshold=thr, boundary=boundary,
-        k_copy_nonlocal=None if label == LABEL_ABSOLUTE else True,
+        k_copy_nonlocal=True if label == LABEL_USEFUL else None,
         teleportation_useful=label == LABEL_USEFUL, fef_converged=result.converged,
         fef_restarts=result.restarts_used)
 

@@ -189,6 +189,37 @@ def run_fixtures(restarts=None, seed=0):
                      absolute.classify(states.isotropic(2, 0.9),
                                        **opts).label == absolute.LABEL_USEFUL))
 
+    # --- the paper's Class-I and Class-II criteria, written out here ---
+    # Class I, I/4 + sum t_ii s_i (x) s_i: eigenvalues (1 -/+ 4(...))/4, a member
+    # iff the largest combination is <= 1/4.  Class II, diag(a, b, c, d): a member
+    # iff |a3+b3| + 2 t33 <= 1/2 and |a3-b3| - 2 t33 <= 1/2, which the printed
+    # 4a - 1 <= 1/2 breaks at (0.45, 0.25, 0.2, 0.1).  Edge points must be
+    # boundary members; the others lie off the edge by more than BOUNDARY_TOL.
+    for name, (t11, t22, t33), edge in (
+            ("werner_p0.2", [-0.2 / 4] * 3, False),
+            ("werner_p1/3", [-(1 / 3) / 4] * 3, True),
+            ("werner_p1/3-1e-6", [-(1 / 3 - 1e-6) / 4] * 3, False),
+            ("werner_p1/3+1e-6", [-(1 / 3 + 1e-6) / 4] * 3, False),
+            ("werner_p0.5", [-0.5 / 4] * 3, False),
+            ("t0.2,-0.1,0.1", (0.2, -0.1, 0.1), False)):
+        combos = (-(t11 + t22 + t33), t11 + t22 - t33, t11 - t22 + t33, -t11 + t22 + t33)
+        rho = states.bell_diag(t11, t22, t33)
+        out.append(_maxdiff(f"eig.bell_diag.{name}", np.sort(rho.spectrum.eigenvalues),
+                            sorted((1 + 4 * c) / 4 for c in combos), 1e-12))
+        v = absolute.is_absolute_fef(rho)
+        out.append(_bool(f"absolute.bell_diag.{name}", edge or max(combos) <= 0.25,
+                         v.absolute and v.boundary == edge))
+    for a, b, c, d_ in ((0.45, 0.25, 0.2, 0.1), (0.6, 0.2, 0.1, 0.1), (0.1, 0.55, 0.25, 0.1)):
+        a3, b3, t33 = (a + b - c - d_) / 2, (a + c - b - d_) / 2, (a - b - c + d_) / 4
+        v = absolute.is_absolute_fef(states.comp_diag([a, b, c, d_]))
+        member = abs(a3 + b3) + 2 * t33 <= 0.5 and abs(a3 - b3) - 2 * t33 <= 0.5
+        out.append(_bool(f"absolute.comp_diag.{a},{b},{c},{d_}", member,
+                         v.absolute and not v.boundary))
+    out.append(_bool("classify.werner_p0.5.useful", True, absolute.classify(
+        states.bell_diag(*[-0.5 / 4] * 3), **opts).label == absolute.LABEL_USEFUL))
+    out.append(_bool("classify.comp_diag_0.6.activatable", True, absolute.classify(
+        states.comp_diag([0.6, 0.2, 0.1, 0.1]), **opts).label == absolute.LABEL_ACTIVATABLE))
+
     # --- purity bounds ---
     pb = absolute.purity_bounds(2)
     out.append(_value("purity.max_absolute.d2", 0.5, pb.max_purity_absolute, 1e-9))

@@ -136,9 +136,13 @@ def test_classify_labels():
     assert rep.label == absolute.LABEL_ABSOLUTE
     assert rep.k_copy_nonlocal is None
     assert not rep.teleportation_useful
+    # x1 is ACTIVATABLE and PPT, hence separable: the activated state is
+    # k-copy nonlocal, x1 itself never is, and the report must not say so
     rep = absolute.classify(states.x1())
-    assert rep.k_copy_nonlocal is True
+    assert rep.k_copy_nonlocal is None
     assert rep.fef_value <= rep.threshold + 1e-9 < rep.lambda_max
+    rep = absolute.classify(states.isotropic(2, 0.9))
+    assert rep.k_copy_nonlocal is True and rep.teleportation_useful
 
 
 def test_classify_fef_matches_fef():

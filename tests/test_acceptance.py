@@ -211,41 +211,80 @@ def test_criterion_06_purity_thresholds():
 
 
 def test_criterion_07_bloch_criteria():
+    # The paper's Class-I eigenvalues (1 -/+ 4(...))/4 and Class-II
+    # inequalities, written out here, against one stacked eigvalsh of
+    # numpy-built matrices on every draw; every 100th draw also goes through
+    # is_absolute_fef, whose verdict must match off the edge.
     failures = []
     rng = np.random.default_rng(104)
-    from absfef.bloch import classI_membership, classII_membership
-    from absfef.errors import DomainError
+    n = 100_000
 
-    checked = 0
-    disagreements = 0
-    while checked < 100_000:
+    def class_i(t):
+        # -(t11+t22+t33), t11+t22-t33, t11-t22+t33, -t11+t22+t33
+        s = t.sum(axis=1, keepdims=True)
+        combos = np.hstack([-s, s - 2 * t[:, ::-1]])
+        return combos, np.sort((1 + 4 * combos) / 4, axis=1)
+
+    t = np.empty((0, 3))
+    while len(t) < n:  # the valid correlations among uniform draws
         batch = rng.uniform(-0.26, 0.26, size=(4096, 3))
-        for t in batch:
-            try:
-                res = classI_membership(*t)
-            except DomainError:
-                continue
-            checked += 1
-            if res.member != (max(res.eigenvalues) <= 0.5 + 1e-10):
+        t = np.vstack([t, batch[class_i(batch)[1][:, 0] >= -1e-12]])
+    t = t[:n]
+    combos, formula = class_i(t)
+    sx = np.array([[0, 1], [1, 0]])
+    sy_sy = -np.kron([[0, 1], [-1, 0]], [[0, 1], [-1, 0]])  # sy = -i [[0, 1], [-1, 0]]
+    sz = np.diag([1, -1])
+    paulis = np.stack([np.kron(sx, sx), sy_sy, np.kron(sz, sz)])
+    mats = np.eye(4) / 4 + np.einsum("ni,ijk->njk", t, paulis)
+    spec = np.linalg.eigvalsh(mats)
+    worst = float(np.abs(formula - spec).max())
+    _check(failures, worst <= 1e-12,
+           f"Class I: formula eigenvalues off the spectrum by {worst:.2e}")
+    member = combos.max(axis=1) <= 0.25
+    off = np.abs(spec[:, -1] - 0.5) > absolute.BOUNDARY_TOL
+    _check(failures, np.array_equal(member[off], spec[off, -1] <= 0.5),
+           "Class I: the formula verdict differs from lambda_max <= 1/2")
+
+    w = rng.dirichlet(np.ones(4), size=n)
+    a, b, c, d = w.T
+    a3, b3, t33 = (a + b - c - d) / 2, (a + c - b - d) / 2, (a - b - c + d) / 4
+    formula = np.sort(np.stack([0.25 + (a3 + b3) / 2 + t33,
+                                0.25 + (a3 - b3) / 2 - t33,
+                                0.25 - (a3 - b3) / 2 - t33,
+                                0.25 - (a3 + b3) / 2 + t33], axis=1), axis=1)
+    mats = np.zeros((n, 4, 4))
+    mats[:, range(4), range(4)] = w
+    spec_ii = np.linalg.eigvalsh(mats)
+    worst = float(np.abs(formula - spec_ii).max())
+    _check(failures, worst <= 1e-12,
+           f"Class II: formula eigenvalues off the spectrum by {worst:.2e}")
+    member_ii = ((np.abs(a3 + b3) + 2 * t33 <= 0.5)
+                 & (np.abs(a3 - b3) - 2 * t33 <= 0.5))
+    off_ii = np.abs(spec_ii[:, -1] - 0.5) > absolute.BOUNDARY_TOL
+    _check(failures, np.array_equal(member_ii[off_ii], spec_ii[off_ii, -1] <= 0.5),
+           "Class II: the formula verdict differs from lambda_max <= 1/2")
+
+    # one draw in a hundred through the library, whose bell_diag and
+    # comp_diag cost about 0.17 and 0.06 ms a state
+    disagreements = 0
+    for k in range(0, n, 100):
+        for rho, want, on in ((states.bell_diag(*t[k]), member[k], off[k]),
+                              (states.comp_diag(w[k]), member_ii[k], off_ii[k])):
+            if on and absolute.is_absolute_fef(rho).absolute != want:
                 disagreements += 1
-            if checked >= 100_000:
-                break
     _check(failures, disagreements == 0,
-           f"Class I: {disagreements} disagreements with lambda_max <= 1/2")
+           f"{disagreements} library verdicts differ from the formulas")
 
-    w = rng.dirichlet(np.ones(4), size=100_000)
-    disagreements = sum(
-        classII_membership(*row) != (np.max(row) <= 0.5 + 1e-10)
-        for row in w)
-    _check(failures, disagreements == 0,
-           f"Class II: {disagreements} disagreements with lambda_max <= 1/2")
+    def werner(p):
+        return absolute.is_absolute_fef(states.bell_diag(*[-p / 4] * 3))
 
-    _check(failures, classI_membership(*[-(1 / 3) / 4] * 3).member,
-           "Werner p = 1/3 should be a member")
-    _check(failures, not classI_membership(*[-(1 / 3 + 1e-6) / 4] * 3).member,
+    edge = werner(1 / 3)
+    _check(failures, edge.absolute and edge.boundary,
+           "Werner p = 1/3 should be a boundary member")
+    _check(failures, not werner(1 / 3 + 1e-6).absolute,
            "Werner p slightly above 1/3 should not be a member")
-    _report(7, "Class-I/II predicates agree with the spectral test "
-               "(Werner boundary p = 1/3)", failures)
+    _report(7, "Class-I/II formulas agree with the spectrum and the one "
+               "threshold rule (Werner boundary p = 1/3)", failures)
 
 
 def test_criterion_08_tripartite_marginals():

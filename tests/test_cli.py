@@ -35,7 +35,8 @@ def test_analyze_x1(runner):
     res = runner.invoke(main, ["analyze", "--family", "x1"])
     assert res.exit_code == 0
     assert "label: ACTIVATABLE" in res.output
-    assert "k_copy_nonlocal: True" in res.output
+    # x1 is PPT, hence separable: FEF <= 1/2 leaves k-copy nonlocality open
+    assert "k_copy_nonlocal: unknown" in res.output
 
 
 def test_analyze_json_deterministic(runner):
@@ -294,12 +295,11 @@ def test_public_api_surface():
         "DomainError", "FefResult", "MarginalReport", "MatrixShapeError",
         "MembershipVerdict", "OperatorBasis", "PurityBounds", "Spectrum",
         "WitnessOperator", "acin_marginal", "acin_state", "activating_unitary",
-        "bloch_extract", "classII_membership", "classI_membership", "classify",
-        "conjugate", "construct", "decompose", "eig_hermitian", "evaluate",
-        "fef", "fef_lower_bound", "fef_two_qubit_closed_form",
-        "fixture_unitary", "ghzw_marginal", "is_absolute_fef",
-        "is_absolutely_separable_2q", "operator_basis", "partial_trace",
-        "pullback", "purity_bounds", "teleportation_witness",
+        "bloch_extract", "classify", "conjugate", "construct", "decompose",
+        "eig_hermitian", "evaluate", "fef", "fef_lower_bound",
+        "fef_two_qubit_closed_form", "fixture_unitary", "ghzw_marginal",
+        "is_absolute_fef", "is_absolutely_separable_2q", "operator_basis",
+        "partial_trace", "pullback", "purity_bounds", "teleportation_witness",
         "three_qutrit_marginal", "validate_density",
     ]
 

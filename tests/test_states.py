@@ -74,8 +74,9 @@ def test_comp_diag_and_domain():
         states.comp_diag([0.5, 0.5, 0.1, -0.1])
     with pytest.raises(DomainError):
         states.comp_diag([0.5, 0.5, 0.5, 0.5])
-    with pytest.raises(DomainError):
-        states.comp_diag([np.nan, 0, 0, 1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            states.comp_diag([bad, 0, 0, 1])
 
 
 def test_bell_diag_validity():
@@ -89,8 +90,9 @@ def test_bell_diag_validity():
 def test_bell_diag_rejects_non_finite_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            states.bell_diag(math.inf, 0, 0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                states.bell_diag(bad, 0, 0)
 
 
 def test_ghz_w_marginals():
