@@ -75,23 +75,17 @@ def activating_unitary(rho: DensityMatrix):
     return u
 
 
-def is_absolutely_separable_2q(spectrum):
-    """Two-qubit absolute separability from the spectrum.
+def is_absolutely_separable_2q(rho: DensityMatrix):
+    """Two-qubit absolute separability from the cached spectrum.
 
-    The criterion is lambda_1 <= lambda_3 + 2 sqrt(lambda_2 lambda_4) on
-    four descending eigenvalues summing to one.
+    The criterion is lambda_1 <= lambda_3 + 2 sqrt(lambda_2 lambda_4) on the
+    descending eigenvalues of the validated 2 (x) 2 state (Verstraete,
+    Audenaert and De Moor, PRA 64, 012316 (2001)).
     """
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.shape != (4,):
-        raise DomainError(f"expected 4 eigenvalues, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError(f"eigenvalues must be finite, got {lam.tolist()}")
-    if np.any(lam < -1e-12):
-        raise DomainError("eigenvalues must be nonnegative")
-    if np.any(np.diff(lam) > 1e-12):
-        raise DomainError("eigenvalues must be sorted in descending order")
-    if abs(lam.sum() - 1) > 1e-9:
-        raise DomainError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
+    if rho.d != 2:
+        raise DomainError(
+            f"absolute separability needs a 2x2 bipartition, got {rho.d}x{rho.d}")
+    lam = rho.spectrum.eigenvalues
     return bool(lam[0] <= lam[2] + 2 * math.sqrt(max(lam[1] * lam[3], 0.0)) + 1e-12)
 
 

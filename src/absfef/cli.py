@@ -51,18 +51,12 @@ def _dumps(obj, indent=0):
             return "[]"
         items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist(), indent)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
-    if obj is None:
-        return "null"
     return json.dumps(obj)
 
 
@@ -226,11 +220,10 @@ main.command_class = _Command
 def _build_report(rho, opts):
     report = absolute.classify(rho, restarts=opts["restarts"],
                                seed=opts["seed"])
-    spectrum = rho.spectrum.eigenvalues
     doc = {
         "dims": [rho.d, rho.d],
         "threshold": report.threshold,
-        "spectrum": [float(v) for v in spectrum],
+        "spectrum": [float(v) for v in rho.spectrum.eigenvalues],
         "purity": rho.purity(),
         "lambda_max": report.lambda_max,
         "label": report.label,
@@ -250,8 +243,7 @@ def _build_report(rho, opts):
         doc["bloch"] = {"a": [float(v) for v in bp.a],
                         "b": [float(v) for v in bp.b],
                         "t": [[float(v) for v in row] for row in bp.t]}
-        doc["absolutely_separable"] = absolute.is_absolutely_separable_2q(
-            np.clip(spectrum, 0, None))
+        doc["absolutely_separable"] = absolute.is_absolutely_separable_2q(rho)
     return doc
 
 
@@ -363,27 +355,20 @@ def scan(ctx, family, range_spec, d, output):
     while v <= stop + 1e-12:
         grid.append(v)
         v = start + len(grid) * step
-    rows = []
+    lines = ["param,lambda_max,fef_lower_bound,fef,label,boundary"]
     for v in grid:
         rho = states.construct(family, **params, **{_SWEEPS[family]: v})
         report = absolute.classify(rho, restarts=ctx.obj["restarts"],
                                    seed=ctx.obj["seed"])
-        rows.append((v, report.lambda_max, fef_lower_bound(rho),
-                     report.fef_value, report.label, report.boundary))
-    lines = ["param,lambda_max,fef_lower_bound,fef,label,boundary"]
-    for v, lam, lb, f_val, label, boundary in rows:
-        lines.append(f"{_fmt(v)},{_fmt(lam)},{_fmt(lb)},{_fmt(f_val)},"
-                     f"{label},{str(boundary).lower()}")
+        lines.append(f"{_fmt(v)},{_fmt(report.lambda_max)},"
+                     f"{_fmt(fef_lower_bound(rho))},{_fmt(report.fef_value)},"
+                     f"{report.label},{str(report.boundary).lower()}")
     text = "\n".join(lines) + "\n"
     if output == "-":
         click.echo(text, nl=False)
     else:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            click.echo(f"error: cannot write {output}: {exc}", err=True)
-            sys.exit(EXIT_IO_ERROR)
+        with open(output, "w") as fh:
+            fh.write(text)
 
 
 @main.command()

@@ -173,11 +173,12 @@ def run_fixtures(restarts=None, seed=0):
 
     # --- membership and classification ---
     out.append(_bool("absolute.x1", False, absolute.is_absolute_fef(rho_x1).absolute))
-    exhibit = absolute.is_absolute_fef(states.af_not_as_example())
+    rho_af = states.af_not_as_example()
+    exhibit = absolute.is_absolute_fef(rho_af)
     out.append(_bool("absolute.af_not_as_example",
                      True, exhibit.absolute and exhibit.boundary))
     out.append(_bool("absolute.as_proper_subset", False,
-                     absolute.is_absolutely_separable_2q([0.5, 0.3, 0.2, 0.0])))
+                     absolute.is_absolutely_separable_2q(rho_af)))
     for d in (2, 3):
         flip = 1 / (d + 1)
         below = absolute.is_absolute_fef(states.isotropic(d, flip - 1e-6)).absolute

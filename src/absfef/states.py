@@ -65,7 +65,7 @@ def comp_diag(weights):
         raise DomainError(f"diagonal weights must be nonnegative, "
                           f"got {w.tolist()}")
     if not abs(w.sum() - 1) <= 1e-12:
-        raise DomainError(f"diagonal weights must sum to 1, got {w.sum()!r}")
+        raise DomainError(f"diagonal weights must sum to 1, got {float(w.sum())}")
     return validate_density(np.diag(w).astype(complex), 2, 2)
 
 

@@ -47,7 +47,6 @@ class AcinParams:
 class MarginalReport:
     """A two-party marginal with its spectrum and absolute-FEF verdict."""
 
-    dropped: int
     marginal: DensityMatrix
     eigenvalues: np.ndarray
     s_value: Optional[float]
@@ -61,7 +60,7 @@ def _marginal_report(rho3, dims, drop, eigenvalues, s_value=None):
     d = dims[0]
     marginal = validate_density(partial_trace(rho3, dims, drop - 1), d, d)
     verdict = is_absolute_fef(marginal)
-    return MarginalReport(dropped=drop, marginal=marginal, eigenvalues=eigenvalues,
+    return MarginalReport(marginal=marginal, eigenvalues=eigenvalues,
                           s_value=s_value, absolute=verdict.absolute,
                           boundary=verdict.boundary)
 

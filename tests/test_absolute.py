@@ -112,21 +112,27 @@ def test_absolute_states_never_exceed_threshold():
 
 
 def test_absolutely_separable_2q():
-    assert absolute.is_absolutely_separable_2q([0.25, 0.25, 0.25, 0.25])
+    assert absolute.is_absolutely_separable_2q(
+        validate_density(np.eye(4) / 4, 2, 2))
     # AF membership without AS membership
-    assert not absolute.is_absolutely_separable_2q([0.5, 0.3, 0.2, 0.0])
-    with pytest.raises(DomainError):
-        absolute.is_absolutely_separable_2q([0.2, 0.3, 0.3, 0.2])  # not sorted
-    with pytest.raises(DomainError):
-        absolute.is_absolutely_separable_2q([0.9, 0.4, -0.2, -0.1])
-    with pytest.raises(DomainError):
-        absolute.is_absolutely_separable_2q([0.5, 0.3, 0.2])
+    assert not absolute.is_absolutely_separable_2q(states.af_not_as_example())
+    with pytest.raises(DomainError, match="2x2 bipartition, got 3x3"):
+        absolute.is_absolutely_separable_2q(states.isotropic(3, 0.5))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_absolutely_separable_2q_rejects_non_finite(bad):
-    with pytest.raises(DomainError):
-        absolute.is_absolutely_separable_2q([bad, 0.3, 0.2, 0.1])
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(1, 4), alpha=st.sampled_from([0.3, 1.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_absolutely_separable_2q_matches_the_inequality(rank, alpha, seed):
+    rng = np.random.default_rng(seed)
+    lam = np.zeros(4)
+    lam[:rank] = rng.dirichlet(np.full(rank, alpha))
+    u = haar_unitary(rng, 4)
+    rho = validate_density((u * lam) @ u.conj().T, 2, 2)
+    l4, l3, l2, l1 = np.linalg.eigvalsh(rho.matrix)
+    margin = l3 + 2 * np.sqrt(max(l2 * l4, 0.0)) - l1
+    if abs(margin) > 1e-9:
+        assert absolute.is_absolutely_separable_2q(rho) == (margin > 0)
 
 
 def test_classify_labels():

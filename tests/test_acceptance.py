@@ -340,7 +340,7 @@ def test_criterion_09_af_strictly_contains_as():
     verdict = absolute.is_absolute_fef(rho)
     _check(failures, verdict.absolute,
            "spectrum (0.5, 0.3, 0.2, 0) should be in the absolute-FEF set")
-    _check(failures, not absolute.is_absolutely_separable_2q(spectrum),
+    _check(failures, not absolute.is_absolutely_separable_2q(rho),
            "spectrum (0.5, 0.3, 0.2, 0) should fail absolute separability")
     _report(9, "absolute-FEF membership without absolute separability",
             failures)

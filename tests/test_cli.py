@@ -463,6 +463,7 @@ def test_scan_unwritable_output_exit_5(runner, tmp_path):
                                "--range", "0.5:0.5:1",
                                "--output", str(tmp_path / "no" / "dir.csv")])
     assert res.exit_code == 5
+    assert str(tmp_path / "no" / "dir.csv") in res.stderr
 
 
 def test_bounds_d2(runner):

@@ -74,6 +74,9 @@ def test_comp_diag_and_domain():
         states.comp_diag([0.5, 0.5, 0.1, -0.1])
     with pytest.raises(DomainError):
         states.comp_diag([0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(DomainError, match=r"must sum to 1, got 1\.1$") as exc:
+        states.comp_diag([0.5, 0.5, 0.1, 0])
+    assert "np.float64" not in str(exc.value)
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
             states.comp_diag([bad, 0, 0, 1])
