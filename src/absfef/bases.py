@@ -13,8 +13,7 @@ as H = sum_ij c_ij B_i (x) B_j with c_ij = Re Tr((B_i (x) B_j)^dag H) /
 one expansion matrix, built on first use: row i k + j holds vec(B_i (x) B_j)
 with each complex entry as its real and imaginary parts side by side.  As
 Re(conj(x) y) = Re x Re y + Im x Im y, its product with the interleaved
-parts of vec(H) gives every overlap at once (analysis), and its transpose
-times the c_ij gives the interleaved parts of vec(H) back (synthesis).
+parts of vec(H) gives every overlap at once.
 """
 
 import math
@@ -100,15 +99,6 @@ class OperatorBasis:
         k = len(self.norms)
         v = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(np.float64)
         return (self.expansion_matrix @ v).reshape(k, k) / self.norm_products
-
-    def synthesize(self, coefficients):
-        """H = sum_ij c_ij B_i (x) B_j, the inverse of :meth:`expand`.
-
-        One product with the transpose of :attr:`expansion_matrix`.
-        """
-        nn = self.single_dim ** 2
-        c = np.asarray(coefficients, dtype=float).reshape(-1)
-        return (self.expansion_matrix.T @ c).view(complex).reshape(nn, nn)
 
 
 def _build(kind, elements, labels):

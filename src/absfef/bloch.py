@@ -24,13 +24,6 @@ class BlochParams:
     b: np.ndarray
     t: np.ndarray
 
-    def reconstruct(self):
-        """rho = sum_ij c_ij s_i (x) s_j, the inverse of bloch_extract, with
-        c_00 = 1/4, c_i0 = a_i/2, c_0j = b_j/2 and c_ij = t_ij."""
-        c = np.block([[np.full((1, 1), 0.25), self.b[None, :] / 2],
-                      [self.a[:, None] / 2, self.t]])
-        return _PAULI.synthesize(c)
-
 
 def bloch_extract(rho: DensityMatrix):
     """Extract (a, b, T) from a two-qubit state."""

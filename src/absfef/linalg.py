@@ -97,7 +97,8 @@ def partial_trace(m, dims, drop):
     m : array
         Square matrix of size prod(dims).
     dims : sequence of int
-        Subsystem dimensions, in tensor order.
+        Subsystem dimensions, in tensor order; one below 1 raises
+        :class:`DomainError`.
     drop : int
         Zero-based index of the subsystem to trace out; a non-integer
         raises :class:`DomainError`.
@@ -110,6 +111,8 @@ def partial_trace(m, dims, drop):
     """
     m = np.asarray(m, dtype=complex)
     dims = [as_dim(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise DomainError(f"subsystem dims must be >= 1, got {dims}")
     n = math.prod(dims)
     if m.shape != (n, n):
         raise MatrixShapeError(
@@ -157,8 +160,8 @@ class DensityMatrix:
 def validate_density(m, d_a, d_b):
     """Check the density-matrix invariants and wrap the matrix.
 
-    Raises :class:`DomainError` unless both dims are integers,
-    :class:`MatrixShapeError` unless they are equal and match the matrix, and
+    Raises :class:`DomainError` unless both dims are integers of at least
+    2, :class:`MatrixShapeError` unless they are equal and match the matrix, and
     :class:`DensityValidationError` naming the violated invariant and
     its magnitude when an entry is not finite, or when hermiticity, unit
     trace or positivity fails beyond ``HERMITICITY_TOL``.  A finite entry of
@@ -170,6 +173,8 @@ def validate_density(m, d_a, d_b):
     d, d_b = as_dim(d_a), as_dim(d_b)
     if d != d_b:
         raise MatrixShapeError(f"expected a d x d bipartition, got {d}x{d_b}")
+    if d < 2:
+        raise DomainError(f"d must be >= 2, got {d}")
     if m.shape != (d * d, d * d):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match dims {d}x{d}")

@@ -113,21 +113,21 @@ def acin_marginal(params: AcinParams, drop):
     return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop, eigs, s)
 
 
-def _projector(n, support, amplitude):
-    """Read-only |k><k| of the length-``n`` ket k = ``amplitude`` on ``support``."""
-    ket = np.zeros(n, dtype=complex)
-    ket[list(support)] = amplitude
-    proj = np.outer(ket, ket.conj())
+def _projector(n, support):
+    """Read-only |k><k| of the length-``n`` ket k even on ``support``, its
+    support block exactly 1/len(support) as in ``fef.canonical_projector``."""
+    proj = np.zeros((n, n), dtype=complex)
+    proj[np.ix_(support, support)] = 1.0 / len(support)
     proj.setflags(write=False)
     return proj
 
 
 # the pure states of the two mixture families below, built once; _PERM3 is
 # spread over the six |ijk> with i, j, k all different
-_GHZ = _projector(8, (0, 7), 1 / math.sqrt(2))
-_W = _projector(8, (1, 2, 4), 1 / math.sqrt(3))
-_GHZ3 = _projector(27, (0, 13, 26), 1 / math.sqrt(3))
-_PERM3 = _projector(27, (5, 7, 11, 15, 19, 21), 1 / math.sqrt(6))
+_GHZ = _projector(8, (0, 7))
+_W = _projector(8, (1, 2, 4))
+_GHZ3 = _projector(27, (0, 13, 26))
+_PERM3 = _projector(27, (5, 7, 11, 15, 19, 21))
 
 
 def ghzw_state(p):

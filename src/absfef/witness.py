@@ -89,17 +89,13 @@ class BasisDecomposition:
     coefficients: np.ndarray
     labels: tuple
 
-    def reconstruct(self):
-        """H = sum_ab c_ab B_a (x) B_b, the inverse of :func:`decompose`."""
-        return operator_basis(self.basis_kind).synthesize(self.coefficients)
-
 
 def decompose(h, basis_kind):
     """Expand a Hermitian two-party operator over a product operator basis.
 
     The coefficients are the real, normalized Hilbert-Schmidt overlaps
-    Tr((B_i (x) B_j)^dag H) / (Tr(B_i^dag B_i) Tr(B_j^dag B_j)), so
-    reconstruction is exact to 1e-10; they are one product with the basis's
+    Tr((B_i (x) B_j)^dag H) / (Tr(B_i^dag B_i) Tr(B_j^dag B_j)), so H is
+    sum_ij c_ij B_i (x) B_j to 1e-10; they are one product with the basis's
     cached expansion matrix (see :mod:`absfef.bases`).  An operator with a
     NaN or inf entry, one that is not Hermitian, or one so large that a
     coefficient overflows raises :class:`DomainError`.

@@ -53,3 +53,9 @@ def absolute_state(rng, d, alpha=1.0):
     lam = capped_spectrum(rng, n, 1.0 / d, alpha)
     u = haar_unitary(rng, n)
     return (u * lam) @ u.conj().T
+
+
+def product_operator(c, stacked):
+    """sum_ij c_ij B_i (x) B_j over the (k, n, n) single-party basis ``stacked``."""
+    n = stacked.shape[1]
+    return np.einsum("ij,iab,jcd->acbd", c, stacked, stacked).reshape(n * n, n * n)

@@ -8,7 +8,7 @@ from absfef.bases import PAULI
 from absfef.bloch import bloch_extract
 from absfef.errors import DomainError
 from absfef.linalg import validate_density
-from helpers import ginibre_density
+from helpers import ginibre_density, product_operator
 
 
 def test_extract_reconstruct_roundtrip():
@@ -22,7 +22,10 @@ def test_extract_reconstruct_roundtrip():
         assert np.max(np.abs(bp.a - c[1:, 0] / 2)) < 1e-14
         assert np.max(np.abs(bp.b - c[0, 1:] / 2)) < 1e-14
         assert np.max(np.abs(bp.t - c[1:, 1:] / 4)) < 1e-14
-        assert np.max(np.abs(bp.reconstruct() - rho.matrix)) < 1e-12
+        coeffs = np.block([[np.full((1, 1), 0.25), bp.b[None, :] / 2],
+                           [bp.a[:, None] / 2, bp.t]])
+        back = product_operator(coeffs, np.array(PAULI))
+        assert np.max(np.abs(back - rho.matrix)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -107,6 +107,14 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_analyze_input_dims_below_two_exit_3(runner, tmp_path):
+    path = tmp_path / "negative_dims.json"
+    _write_state(path, np.eye(1), (-1, -1))
+    res = runner.invoke(main, ["analyze", "--input", str(path)])
+    assert res.exit_code == 3
+    assert res.stderr == "error: d must be >= 2, got -1\n"
+
+
 def test_analyze_oversized_entry_exit_2_without_warnings(tmp_path):
     # finite, Hermitian and unit trace, but |m_01| > 1 cannot be PSD; run as
     # a fresh process so that a numpy warning would reach its real stderr

@@ -166,6 +166,18 @@ def test_dimensions_must_be_integers():
     assert type(rho.d) is int and rho.d == 2
 
 
+@pytest.mark.parametrize("d", [-2, -1, 0, 1])
+def test_dimensions_below_two_are_refused(d):
+    with pytest.raises(DomainError, match=f"^d must be >= 2, got {d}$"):
+        validate_density(np.eye(4) / 4, d, d)
+    if d < 1:
+        with pytest.raises(DomainError, match="subsystem dims must be >= 1"):
+            partial_trace(np.eye(4) / 4, [d, 4], 0)
+    else:  # tracing out a one-dimensional party changes nothing
+        assert np.array_equal(partial_trace(np.eye(4) / 4, [d, 4], 0),
+                              np.eye(4) / 4)
+
+
 def test_density_spectrum_is_eig_hermitian_bitwise():
     rng = np.random.default_rng(5)
     for d in (2, 3):

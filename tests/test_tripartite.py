@@ -143,3 +143,16 @@ def test_states_do_not_alias_the_cached_projectors():
             assert not np.shares_memory(m, proj)
         m[:] = 9.0
         assert np.array_equal(build(*args), want)
+
+
+def test_projectors_are_exact():
+    for proj, support in ((tripartite._GHZ, (0, 7)), (tripartite._W, (1, 2, 4)),
+                          (tripartite._GHZ3, (0, 13, 26)),
+                          (tripartite._PERM3, (5, 7, 11, 15, 19, 21))):
+        assert not proj.flags.writeable
+        assert np.trace(proj) == 1
+        want = np.zeros(proj.shape)
+        want[np.ix_(support, support)] = 1 / len(support)
+        assert np.array_equal(proj, want)
+    # the GHZ-W flip at p = 1/4 sits exactly on lambda_max = 1/2
+    assert tripartite.ghzw_marginal(0.25).marginal.spectrum.lambda_max == 0.5
