@@ -113,20 +113,31 @@ def _load_state_file(path):
     return validate_density(matrix, d_a, d_b)
 
 
+# The CLI's text-to-value rule for each family parameter, as (click type,
+# parse, help): d is an integer, which click parses, weights are
+# comma-separated and every other parameter is a number.
+_RULES = {"d": (int, int, "an integer"),
+          "weights": (str, lambda text: [_num(w) for w in text.split(",")],
+                      "comma-separated numbers")}
+_NUMBER = (str, _num, "a number (rationals accepted)")
+# Each family parameter and the families that take it, in registry order.
+_TAKERS = {name: [family for family, spec in states.FAMILIES.items()
+                  if name in spec.params]
+           for spec in states.FAMILIES.values() for name in spec.params}
+
+
+def _param_option(name, families):
+    kind, _, text = _RULES.get(name, _NUMBER)
+    return click.option(f"--{name}", type=kind, default=None,
+                        help=f"Taken by {', '.join(families)}; {text}.")
+
+
 _FAMILY_OPTIONS = [
     click.option("--family", type=str, default=None,
                  help=f"Named state family ({', '.join(states.FAMILIES)})."),
     click.option("--input", "input_path", type=str, default=None,
                  help="JSON state file with 'dims' and row-major [re, im] 'matrix'."),
-    click.option("--q", default=None, help="Mixing parameter for x2 / y3."),
-    click.option("--d", type=int, default=None,
-                 help="Local dimension (isotropic, max_entangled)."),
-    click.option("--beta", default=None, help="Isotropic-state parameter."),
-    click.option("--p", default=None, help="GHZ-W mixing parameter."),
-    click.option("--weights", default=None,
-                 help="Four comma-separated diagonal weights for comp_diag."),
-    click.option("--t11", default=None), click.option("--t22", default=None),
-    click.option("--t33", default=None),
+    *(_param_option(name, families) for name, families in _TAKERS.items()),
 ]
 
 
@@ -139,8 +150,7 @@ def _family_options(f):
 def _gate_d(family, d):
     """Refuse a d that fef cannot analyze before a family that takes d builds
     a d^2 x d^2 state; any other fault is left for construct to name."""
-    spec = states.FAMILIES.get(family)
-    if d is not None and spec is not None and "d" in spec.params:
+    if d is not None and family in _TAKERS["d"]:
         require_supported_dim(d)
 
 
@@ -154,13 +164,7 @@ def _resolve_state(family, input_path, **options):
                 f"--input does not take "
                 f"{', '.join(f'--{name}' for name in given)}; it takes no options")
         return _load_state_file(input_path)
-    params = {}
-    for name, v in given.items():
-        if name == "weights":
-            v = [_num(w) for w in v.split(",")]
-        elif name != "d":
-            v = _num(v)
-        params[name] = v
+    params = {name: _RULES.get(name, _NUMBER)[1](v) for name, v in given.items()}
     _gate_d(family, params.get("d"))
     return states.construct(family, **params)
 
@@ -329,7 +333,7 @@ _SWEEPS = {name: f.sweep for name, f in states.FAMILIES.items() if f.sweep}
 @click.option("--family", required=True, type=click.Choice(sorted(_SWEEPS)))
 @click.option("--range", "range_spec", required=True,
               help="Grid as start:stop:step (rationals accepted).")
-@click.option("--d", type=int, default=None, help="Local dimension for isotropic.")
+@_param_option("d", [family for family in _TAKERS["d"] if family in _SWEEPS])
 @click.option("--output", default="-", help="CSV output path, '-' for stdout.")
 @click.pass_context
 def scan(ctx, family, range_spec, d, output):

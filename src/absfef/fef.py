@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DensityMatrix, as_dim
+from .linalg import DensityMatrix, _as_int, _local_dim, as_dim
 
 #: Default restart counts per local dimension: the ladder's X0 plus Haar
 #: starts.  d = 2 has no spurious local maxima (module docstring), so one Haar
@@ -116,11 +116,7 @@ def require_supported_dim(d):
 def require_restarts(restarts):
     """Return ``restarts`` as an int; raise :class:`DomainError` unless it is
     an integer in [1, MAX_RESTARTS]."""
-    try:
-        restarts = operator.index(restarts)
-    except TypeError:
-        raise DomainError(
-            f"restarts must be an integer, got {restarts!r}") from None
+    restarts = _as_int(restarts, "restarts")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(
             f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
@@ -139,16 +135,18 @@ def require_seed(seed):
     return index
 
 
-def _local_dim(d):
-    d = as_dim(d)
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    return d
+def _projector(n, support):
+    """|k><k| for the length-``n`` ket k spread evenly over ``support``, with
+    its support block exactly 1/len(support): the one rule behind
+    :func:`canonical_projector` and the tripartite GHZ and W projectors."""
+    p = np.zeros((n, n), dtype=complex)
+    p[np.ix_(support, support)] = 1.0 / len(support)
+    return p
 
 
 def canonical_ket(d):
     """The canonical maximally entangled ket (1/sqrt(d)) sum_i |ii>, d >= 2."""
-    d = _local_dim(d)
+    d = _local_dim(as_dim(d))
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
     return psi
@@ -161,10 +159,8 @@ def canonical_projector(d):
     (1/sqrt(d))^2 round away from 1/d and put the trace, purity and FEF of
     |psi+><psi+| a few ulps off 1.
     """
-    d = _local_dim(d)
-    p = np.zeros((d * d, d * d), dtype=complex)
-    p[:: d + 1, :: d + 1] = 1.0 / d
-    return p
+    d = _local_dim(as_dim(d))
+    return _projector(d * d, range(0, d * d, d + 1))
 
 
 def fef_lower_bound(rho: DensityMatrix):
@@ -357,7 +353,6 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
     >= 0, before any computation.
     """
-    lower = fef_lower_bound(rho)
     d = rho.d
     require_supported_dim(d)
     restarts = require_restarts(
@@ -390,6 +385,7 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
             value, x = values[best] + lam_min, xs[best].reshape(d, d)
     u = x.T
     value = min(value, lam_max)
+    lower = fef_lower_bound(rho)
     if value < lower:  # the overlap wins the clip; U = I attains it
         value, u = lower, np.eye(d, dtype=complex)
     return FefResult(value=float(value), optimizer_unitary=u,

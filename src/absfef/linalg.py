@@ -18,17 +18,26 @@ from .errors import DensityValidationError, DomainError, MatrixShapeError
 HERMITICITY_TOL = 1e-10
 
 
-def as_dim(value):
-    """A dimension argument as a Python ``int``.
-
-    Accepts integers, numpy integers included, and raises
-    :class:`DomainError` for anything else, so that 2.5 is rejected rather
-    than truncated to 2.
-    """
+def _as_int(value, name):
+    """``value`` as a Python ``int``, numpy integers included; raise
+    :class:`DomainError` naming ``name`` for anything else."""
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"dimension must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_dim(value):
+    """A dimension argument as a Python ``int``; 2.5 raises
+    :class:`DomainError` rather than truncating to 2."""
+    return _as_int(value, "dimension")
+
+
+def _local_dim(d):
+    """Return the integer ``d``; raise :class:`DomainError` unless it is >= 2."""
+    if d < 2:
+        raise DomainError(f"d must be >= 2, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -117,10 +126,7 @@ def partial_trace(m, dims, drop):
     if m.shape != (n, n):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match subsystem dims {dims}")
-    try:
-        drop = operator.index(drop)
-    except TypeError:
-        raise DomainError(f"drop index must be an integer, got {drop!r}") from None
+    drop = _as_int(drop, "drop index")
     if not 0 <= drop < len(dims):
         raise MatrixShapeError(f"drop index {drop} out of range for {len(dims)} subsystems")
     k = len(dims)
@@ -173,8 +179,7 @@ def validate_density(m, d_a, d_b):
     d, d_b = as_dim(d_a), as_dim(d_b)
     if d != d_b:
         raise MatrixShapeError(f"expected a d x d bipartition, got {d}x{d_b}")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    _local_dim(d)
     if m.shape != (d * d, d * d):
         raise MatrixShapeError(
             f"matrix of shape {m.shape} does not match dims {d}x{d}")

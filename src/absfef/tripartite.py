@@ -14,6 +14,7 @@ import numpy as np
 
 from .absolute import is_absolute_fef
 from .errors import DomainError
+from .fef import _projector
 from .linalg import DensityMatrix, partial_trace, validate_density
 
 
@@ -113,21 +114,14 @@ def acin_marginal(params: AcinParams, drop):
     return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop, eigs, s)
 
 
-def _projector(n, support):
-    """Read-only |k><k| of the length-``n`` ket k even on ``support``, its
-    support block exactly 1/len(support) as in ``fef.canonical_projector``."""
-    proj = np.zeros((n, n), dtype=complex)
-    proj[np.ix_(support, support)] = 1.0 / len(support)
-    proj.setflags(write=False)
-    return proj
-
-
-# the pure states of the two mixture families below, built once; _PERM3 is
-# spread over the six |ijk> with i, j, k all different
+# the pure states of the two mixture families below, built once and
+# read-only; _PERM3 is spread over the six |ijk> with i, j, k all different
 _GHZ = _projector(8, (0, 7))
 _W = _projector(8, (1, 2, 4))
 _GHZ3 = _projector(27, (0, 13, 26))
 _PERM3 = _projector(27, (5, 7, 11, 15, 19, 21))
+for _proj in (_GHZ, _W, _GHZ3, _PERM3):
+    _proj.setflags(write=False)
 
 
 def ghzw_state(p):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -105,6 +106,14 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     _write_state(path4, np.eye(4) / 4, (2.5, 2.9))  # not truncated to 2x2
     res = runner.invoke(main, ["analyze", "--input", str(path4)])
     assert res.exit_code == 2
+
+
+def test_analyze_wrong_weight_count_exit_3(runner):
+    res = runner.invoke(main, ["analyze", "--family", "comp_diag",
+                               "--weights", "0.5,0.5"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: expected 4 diagonal weights, got (2,)\n"
 
 
 def test_analyze_input_dims_below_two_exit_3(runner, tmp_path):
@@ -267,8 +276,8 @@ def test_input_refuses_family_options_exit_3(runner, tmp_path, command,
                           f"it takes no options\n")
 
 
-_FAMILY_OPTIONS = ["--family", "--input", "--q", "--d", "--beta", "--p",
-                   "--weights", "--t11", "--t22", "--t33"]
+_FAMILY_OPTIONS = ["--family", "--input", "--q", "--d", "--beta",
+                   "--weights", "--t11", "--t22", "--t33", "--p"]
 
 
 def test_option_surface(runner):
@@ -290,6 +299,29 @@ def test_option_surface(runner):
         res = runner.invoke(main, args)
         assert res.exit_code == 2
         assert "No such option" in res.stderr
+
+
+def _families_named(option):
+    return {word for word in re.findall(r"\w+", option.help)
+            if word in states.FAMILIES}
+
+
+def test_family_options_come_from_the_registry():
+    # one option per registry parameter, in registry order, whose help names
+    # exactly the families that take it
+    params = list(dict.fromkeys(
+        name for spec in states.FAMILIES.values() for name in spec.params))
+    takers = {name: {family for family, spec in states.FAMILIES.items()
+                     if name in spec.params} for name in params}
+    for command, extra in (("analyze", []), ("witness", ["--unitary"])):
+        options = main.commands[command].params
+        assert [opt for p in options for opt in p.opts] == [
+            "--family", "--input", *(f"--{name}" for name in params), *extra]
+        for option in options[2:2 + len(params)]:
+            assert _families_named(option) == takers[option.name], option.name
+    scan_d = next(p for p in main.commands["scan"].params if p.name == "d")
+    assert _families_named(scan_d) == {
+        family for family in takers["d"] if states.FAMILIES[family].sweep}
 
 
 def test_public_api_surface():

@@ -26,6 +26,12 @@ def test_eig_hermitian_rejects_non_hermitian():
     assert exc.value.invariant == "hermiticity"
 
 
+def test_eig_hermitian_rejects_non_square():
+    with pytest.raises(MatrixShapeError,
+                       match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        eig_hermitian(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eig_hermitian_rejects_non_finite_entries(bad):
     # eigh reads one triangle only, so a NaN above the diagonal went unseen

@@ -6,6 +6,7 @@ import pytest
 from absfef import tripartite
 from absfef.absolute import is_absolute_fef
 from absfef.errors import DomainError
+from absfef.fef import canonical_projector
 from absfef.linalg import partial_trace
 
 
@@ -146,13 +147,25 @@ def test_states_do_not_alias_the_cached_projectors():
 
 
 def test_projectors_are_exact():
-    for proj, support in ((tripartite._GHZ, (0, 7)), (tripartite._W, (1, 2, 4)),
-                          (tripartite._GHZ3, (0, 13, 26)),
-                          (tripartite._PERM3, (5, 7, 11, 15, 19, 21))):
-        assert not proj.flags.writeable
+    # canonical_projector and the tripartite constants share one rule; each
+    # must equal (1/k)|k><k|, k the literal 0/1 ket below, bit for bit.
+    # canonical_projector returns a fresh writable array, the constants are
+    # read-only.
+    cached = (tripartite._GHZ, tripartite._W, tripartite._GHZ3,
+              tripartite._PERM3)
+    for proj, ket, value in (
+            (canonical_projector(2), "1001", 1 / 2),
+            (canonical_projector(3), "100010001", 1 / 3),
+            (canonical_projector(4), "1000010000100001", 1 / 4),
+            (tripartite._GHZ, "10000001", 1 / 2),
+            (tripartite._W, "01101000", 1 / 3),
+            (tripartite._GHZ3, "100000000000010000000000001", 1 / 3),
+            (tripartite._PERM3, "000001010001000100010100000", 1 / 6)):
+        bits = np.array([float(c) for c in ket])
+        want = (value * np.outer(bits, bits)).astype(complex)
+        assert proj.dtype == want.dtype and proj.shape == want.shape
+        assert proj.tobytes() == want.tobytes()
         assert np.trace(proj) == 1
-        want = np.zeros(proj.shape)
-        want[np.ix_(support, support)] = 1 / len(support)
-        assert np.array_equal(proj, want)
+        assert proj.flags.writeable == all(proj is not c for c in cached)
     # the GHZ-W flip at p = 1/4 sits exactly on lambda_max = 1/2
     assert tripartite.ghzw_marginal(0.25).marginal.spectrum.lambda_max == 0.5
