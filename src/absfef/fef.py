@@ -70,7 +70,10 @@ when the one before it fails:
 2. The dual at X0.  This certifies an X0 that is already the maximizer
    below lambda_max: every pure state (FEF (sum_i s_i)^2/d for Schmidt
    coefficients s_i, X0 its maximizer), x1, x2(q < 1/3) and
-   ghzw(1/2 <= p < 1).
+   ghzw(1/2 <= p < 1).  The gap is the same for rho and for R (A and B
+   each move by lambda_min/2 I, which takes back the shift), so this rung
+   reads rho itself and R is built only when it fails and the ascent runs.
+   B is herm(X0^dag G)^T/2, one product (see _dual_gap).
 3. The multistart: restart 0 starts at X0 and the others at Haar
    unitaries.  A restart that stops while it leads the stack and other
    restarts are still live gets the dual bound at its point, and a gap of
@@ -125,9 +128,9 @@ def require_restarts(restarts):
 
 def require_seed(seed):
     """Return ``seed`` as an int; raise :class:`DomainError` unless it is
-    an integer >= 0."""
+    an integer >= 0; a bool is refused, as by :func:`_as_int`."""
     try:
-        index = operator.index(seed)
+        index = -1 if isinstance(seed, bool) else operator.index(seed)
     except TypeError:
         index = -1
     if index < 0:
@@ -191,31 +194,35 @@ def _haar_starts(d, n, seed):
     return x
 
 
-def _dual_gap(r_mat, x, y):
-    """Gap between the dual upper bound at X and the value v^dag R v there.
+def _dual_gap(m, x, y):
+    """Gap between the dual upper bound at X and the value v^dag M v there.
 
-    ``x`` is vec(X) for a unitary X, v = x/sqrt(d), and ``y`` = R x.  Every
-    maximally entangled v' has marginals I/d, so for any Hermitian A and B
-    (the Y and Z of the module docstring),
-    v'^dag R v' <= (Tr A + Tr B)/d + lambda_max(R - A (x) I - I (x) B).
-    A and B come in closed form from complementary slackness at v:
-    A = herm(reshape(y) X^dag)/2 and B = herm(X^dag A X)^T.  Then Tr A =
-    Tr B = x^dag R x / 2, so (Tr A + Tr B)/d is the value at X and the gap is
-    lambda_max(R - A (x) I - I (x) B), one d^2 x d^2 ``eigvalsh``.
+    ``m`` is rho or R = rho - c I, ``x`` is vec(X) for a unitary X, v =
+    x/sqrt(d), and ``y`` = M x.  Every maximally entangled v' has marginals
+    I/d, so for any Hermitian A and B (the Y and Z of the module docstring),
+    v'^dag M v' <= (Tr A + Tr B)/d + lambda_max(M - A (x) I - I (x) B).
+    A and B come in closed form from complementary slackness at v: with
+    G = reshape(y), A = herm(G X^dag)/2 and B = herm(X^dag G)^T/2, which for
+    unitary X is herm(X^dag A X)^T with one product fewer.  Then Tr A =
+    Tr B = x^dag M x / 2, so (Tr A + Tr B)/d is the value at X and the gap is
+    lambda_max(M - A (x) I - I (x) B), one d^2 x d^2 ``eigvalsh``.  The gap
+    is the same for M = rho and M = R: the shift moves G by c X, so A and B
+    each move by c/2 I, and together they take back the c I.
     """
     d = math.isqrt(x.size)
     xm = x.reshape(d, d)
     xh = xm.conj().T
-    h = y.reshape(d, d) @ xh
-    a = (h + h.conj().T) / 4
-    b = xh @ a @ xm
-    b = (b.T + b.conj()) / 2
-    m = r_mat.copy()
-    m4 = m.reshape(d, d, d, d)  # m4[i, j, k, l] = m[i d + j, k d + l]
-    for j in range(d):
-        m4[:, j, :, j] -= a  # A (x) I
-        m4[j, :, j, :] -= b  # I (x) B
-    return float(np.linalg.eigvalsh(m)[-1])
+    g = y.reshape(d, d)
+    ha = g @ xh
+    a = (ha + ha.conj().T) / 4
+    hb = xh @ g
+    b = (hb.T + hb.conj()) / 4
+    eye = np.eye(d)
+    # [i, j, k, l] indexes row i d + j, column k d + l: A (x) I is
+    # a[i, k] eye[j, l] and I (x) B is eye[i, k] b[j, l].
+    slack = (m.reshape(d, d, d, d) - a[:, None, :, None] * eye[:, None, :]
+             - eye[:, None, :, None] * b[:, None, :])
+    return float(np.linalg.eigvalsh(slack.reshape(d * d, d * d))[-1])
 
 
 def _ascend(r_mat, x, certify=False, checked=-np.inf):
@@ -368,10 +375,10 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
     value, x, bound, converged, steps = f0, x0, lam_max, True, 0
     if lam_max - f0 > _EPS:
-        r_mat = rho.matrix - lam_min * np.eye(d * d)
-        gap = _dual_gap(r_mat, v0, r_mat @ v0)
+        gap = _dual_gap(rho.matrix, v0, rho.matrix @ v0)
         bound = f0 + gap
         if gap > _EPS:
+            r_mat = rho.matrix - lam_min * np.eye(d * d)
             starts = np.concatenate(
                 (v0[None], _haar_starts(d, restarts - 1, seed)))
             xs, values, steps, cert = _ascend(r_mat, starts, certify=True,

@@ -20,11 +20,15 @@ HERMITICITY_TOL = 1e-10
 
 def _as_int(value, name):
     """``value`` as a Python ``int``, numpy integers included; raise
-    :class:`DomainError` naming ``name`` for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    :class:`DomainError` naming ``name`` for anything else.  A bool is
+    refused too: ``operator.index`` reads True as 1, though ``np.True_`` is
+    no integer to it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def as_dim(value):

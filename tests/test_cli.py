@@ -16,7 +16,7 @@ import absfef
 from absfef import absolute, states, tripartite, witness
 from absfef.cli import main
 from absfef.fef import DEFAULT_RESTARTS, fef
-from absfef.reproduce import run_fixtures
+from absfef.reproduce import FixtureResult, run_fixtures
 from helpers import ginibre_density
 
 
@@ -106,6 +106,19 @@ def test_analyze_invalid_state_file_exit_2(runner, tmp_path):
     _write_state(path4, np.eye(4) / 4, (2.5, 2.9))  # not truncated to 2x2
     res = runner.invoke(main, ["analyze", "--input", str(path4)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("dims, shown", [((True, True), "True"),
+                                         ((2.0, 2.0), "2.0")])
+def test_state_file_dims_must_be_integers_exit_2(runner, tmp_path, dims,
+                                                 shown):
+    # JSON true is no dimension: read as 1, it failed d >= 2 with exit 3
+    path = tmp_path / "state.json"
+    _write_state(path, np.eye(4) / 4, dims)
+    res = runner.invoke(main, ["analyze", "--input", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: state file needs 'dims' and 'matrix' "
+                          f"fields: dimension must be an integer, got {shown}\n")
 
 
 def test_analyze_wrong_weight_count_exit_3(runner):
@@ -545,6 +558,26 @@ def test_reproduce_json_format(runner):
     assert isinstance(doc, list) and doc
     assert set(doc[0]) == {"name", "expected", "computed", "delta",
                            "tolerance", "passed"}
+
+
+def test_reproduce_failure_exit_1(runner, monkeypatch):
+    results = [FixtureResult("kept", 0.5, 0.5, 1e-12),
+               FixtureResult("broken", 0.5, 0.75, 1e-12),
+               FixtureResult("also_kept", 1.0, 1.0, 1e-12)]
+    monkeypatch.setattr("absfef.cli.run_fixtures", lambda **opts: results)
+    res = runner.invoke(main, ["reproduce"])
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert lines[1] == ("FAIL  broken     expected 0.5  computed 0.75  "
+                        "|delta| 0.25")
+    assert [line[:4] for line in lines[:3]] == ["PASS", "FAIL", "PASS"]
+    assert lines[-1] == "2/3 fixtures passed"
+    # --json prints the whole document before it exits 1
+    res = runner.invoke(main, ["--json", "reproduce"])
+    assert res.exit_code == 1
+    doc = json.loads(res.stdout)
+    assert [(r["name"], r["passed"]) for r in doc] == [
+        ("kept", True), ("broken", False), ("also_kept", True)]
 
 
 @pytest.mark.parametrize("args", [["--restarts", "0"], ["--restarts", "20000"]])

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from absfef import states
 from absfef.errors import DomainError
 from absfef.fef import (_EPS, _MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS,
-                        _ascend, _haar_starts, canonical_ket,
+                        _ascend, _dual_gap, _haar_starts, canonical_ket,
                         canonical_projector, fef, fef_lower_bound,
                         fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
@@ -175,9 +176,9 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         restarts = DEFAULT_RESTARTS[rho.d]
         value, unitary, steps = _ascent_reference(rho, restarts)
         assert steps >= 1
-        # The first gap is the dual at X0, which fef evaluates before the
-        # ascent; only the later ones are evaluated inside _ascend.
-        assert evaluated
+        # The first gap is the dual at X0, which fef evaluates on rho itself
+        # before the ascent; only the later ones are evaluated inside _ascend.
+        assert evaluated and evaluated[0][0] is rho.matrix
         if evaluated[1:]:
             assert res.value >= value - 1e-14
         else:
@@ -190,6 +191,41 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         res = fef(states.y3(k / 20))
         assert res.iterations == 0
         assert abs(res.value - k / 20) <= 1e-13
+
+
+def _dual_gap_kron(m, x):
+    """lambda_max(M - A (x) I - I (x) B) built with np.kron, for unitary
+    X = reshape(x): A = herm(G X^dag)/2 with G = reshape(M x), and the
+    nested B = herm(X^dag A X)^T."""
+    d = math.isqrt(x.size)
+    xm = x.reshape(d, d)
+    h = (m @ x).reshape(d, d) @ xm.conj().T
+    a = (h + h.conj().T) / 4
+    b = xm.conj().T @ a @ xm
+    b = (b.T + b.conj()) / 2
+    eye = np.eye(d)
+    return np.linalg.eigvalsh(m - np.kron(a, eye) - np.kron(eye, b))[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), rank=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_dual_gap_shift_invariant_and_matches_kron(d, rank, seed):
+    # The gap at a Haar X is the same for rho and rho - c I, whether c is
+    # the lambda_min that fef shifts by or any other constant, and it matches
+    # the np.kron build.  The dual bound lies above the FEF, which lies
+    # above the value at X, so the gap is never negative.
+    rng = np.random.default_rng(seed)
+    m = ginibre_density(rng, d * d, min(rank, d * d))
+    x = haar_unitary(rng, d).ravel()
+    gap = _dual_gap(m, x, m @ x)
+    assert gap >= -1e-14
+    assert abs(gap - _dual_gap_kron(m, x)) <= 1e-13
+    for c in (np.linalg.eigvalsh(m)[0], rng.uniform(-1, 1)):
+        r = m - c * np.eye(d * d)
+        shifted = _dual_gap(r, x, r @ x)
+        assert abs(shifted - gap) <= 1e-13
+        assert abs(shifted - _dual_gap_kron(r, x)) <= 1e-13
 
 
 def _no_haar_starts(*args):
@@ -525,13 +561,17 @@ def test_fef_domain_errors():
     for restarts in (0, MAX_RESTARTS + 1, 2.7, "3"):
         with pytest.raises(DomainError):
             fef(rho, restarts=restarts)
+    for flag in (True, np.True_):  # operator.index reads True as 1
+        with pytest.raises(DomainError, match="restarts must be an integer"):
+            fef(rho, restarts=flag)
     assert fef(rho, restarts=np.int64(3)).restarts_used == 3
     big = _as_state(np.eye(16, dtype=complex) / 16, 4)
     with pytest.raises(DomainError):
         fef(big)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None, "3", np.float64(2.0)])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3", np.float64(2.0), True,
+                                  np.True_])
 def test_fef_seed_must_be_nonnegative_int(seed):
     with pytest.raises(DomainError):
         fef(states.x1(), seed=seed)

@@ -172,6 +172,17 @@ def test_dimensions_must_be_integers():
     assert type(rho.d) is int and rho.d == 2
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bools_are_not_integers(flag):
+    # operator.index reads True as 1: a dimension of 1, or party 1 to drop
+    with pytest.raises(DomainError, match="dimension must be an integer"):
+        validate_density(np.eye(4) / 4, flag, flag)
+    with pytest.raises(DomainError, match="dimension must be an integer"):
+        partial_trace(np.eye(4) / 4, [flag, 4], 0)
+    with pytest.raises(DomainError, match="drop index must be an integer"):
+        partial_trace(np.eye(4) / 4, [2, 2], flag)
+
+
 @pytest.mark.parametrize("d", [-2, -1, 0, 1])
 def test_dimensions_below_two_are_refused(d):
     with pytest.raises(DomainError, match=f"^d must be >= 2, got {d}$"):
