@@ -239,9 +239,10 @@ def run_fixtures(restarts=None, seed=0):
     out.append(_maxdiff("tripartite.acin_ghz.drop1_marginal", red1,
                         np.diag([0.5, 0, 0, 0.5]).astype(complex), 1e-12))
     rep2 = tripartite.acin_marginal(ghz_params, 2)
-    out.append(_value("tripartite.acin_ghz.s2", 0.0, rep2.s_value, 1e-12))
-    out.append(_maxdiff("tripartite.acin_ghz.drop2_eigs",
-                        rep2.marginal.spectrum.eigenvalues,
+    lam2 = rep2.marginal.spectrum.eigenvalues
+    # the marginal spectrum is {(1 + sqrt S_2)/2, (1 - sqrt S_2)/2, 0, 0}
+    out.append(_value("tripartite.acin_ghz.s2", 0.0, (lam2[0] - lam2[1]) ** 2, 1e-12))
+    out.append(_maxdiff("tripartite.acin_ghz.drop2_eigs", lam2,
                         [0.5, 0.5, 0.0, 0.0], 1e-12))
 
     worst = 0.0
@@ -250,8 +251,11 @@ def run_fixtures(restarts=None, seed=0):
             if alpha + beta > 1 + 1e-12:
                 continue
             rep = tripartite.three_qutrit_marginal(alpha, beta)
+            # (1-a-b)/9, (1+2a-b)/9 and (1-a+2b)/9, each three times
+            closed = np.repeat([(1 - alpha - beta) / 9, (1 + 2 * alpha - beta) / 9,
+                                (1 - alpha + 2 * beta) / 9], 3)
             spec_dev = float(np.max(np.abs(
-                rep.marginal.spectrum.eigenvalues - rep.eigenvalues)))
+                rep.marginal.spectrum.eigenvalues - np.sort(closed)[::-1])))
             worst = max(worst, spec_dev)
             if not rep.absolute:
                 worst = max(worst, 1.0)

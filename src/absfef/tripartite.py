@@ -1,21 +1,30 @@
 """Two-party marginals of three-party states and their absolute-FEF status.
 
-Covers the five-amplitude canonical form of pure three-qubit states, the
-GHZ-W mixture, and a three-qutrit mixture family.  Every closed-form
-marginal spectrum is cross-checkable against the generic partial trace, and
-every verdict is :func:`~absfef.absolute.is_absolute_fef` on that marginal.
+A pure three-party ket gives the marginal rho_AB the same nonzero spectrum
+as the dropped party's rho_C, so AB is absolute exactly when
+lambda_max(rho_C) <= 1/d.  For qubits lambda_max(rho_C) >= 1/2, so membership
+is the boundary case rho_C = I/2.  In the five-amplitude canonical form
+(Acin et al., PRL 85, 1560 (2000)) dropping qubit k leaves the spectrum
+{(1 + sqrt(S_k))/2, (1 - sqrt(S_k))/2, 0, 0} with S_k = 1 - 4 det rho_k,
+absolute exactly when S_k = 0.  The GHZ-W mixture has the same marginal for
+every drop, with spectrum {0, 2(1-p)/3, p/2, (2+p)/6}: absolute exactly for
+p >= 1/4.  The three-qutrit marginal has eigenvalues (1-a-b)/9, (1+2a-b)/9
+and (1-a+2b)/9, each three times, so every valid (a, b) is absolute.
+
+These formulas are test oracles and ``reproduce`` fixtures, not library
+code: every report reads its spectrum and verdict off the validated
+partial-trace marginal, through :func:`~absfef.absolute.is_absolute_fef`.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .absolute import is_absolute_fef
 from .errors import DomainError
 from .fef import _projector
-from .linalg import DensityMatrix, partial_trace, validate_density
+from .linalg import DensityMatrix, _as_int, partial_trace, validate_density
 
 
 @dataclass(frozen=True)
@@ -46,23 +55,25 @@ class AcinParams:
 
 @dataclass(frozen=True)
 class MarginalReport:
-    """A two-party marginal with its spectrum and absolute-FEF verdict."""
+    """A two-party marginal with its absolute-FEF verdict."""
 
     marginal: DensityMatrix
-    eigenvalues: np.ndarray
-    s_value: Optional[float]
     absolute: bool
     boundary: bool
 
+    @property
+    def eigenvalues(self):
+        """The marginal's cached spectrum, descending."""
+        return self.marginal.spectrum.eigenvalues
 
-def _marginal_report(rho3, dims, drop, eigenvalues, s_value=None):
+
+def _marginal_report(rho3, dims, drop):
     """Trace party ``drop`` (1-based) out of ``rho3``; the verdict is
     :func:`~absfef.absolute.is_absolute_fef` on the validated marginal."""
     d = dims[0]
     marginal = validate_density(partial_trace(rho3, dims, drop - 1), d, d)
     verdict = is_absolute_fef(marginal)
-    return MarginalReport(marginal=marginal, eigenvalues=eigenvalues,
-                          s_value=s_value, absolute=verdict.absolute,
+    return MarginalReport(marginal=marginal, absolute=verdict.absolute,
                           boundary=verdict.boundary)
 
 
@@ -78,40 +89,14 @@ def acin_state(params: AcinParams):
     return ket
 
 
-def acin_s_value(params: AcinParams, drop):
-    """Closed-form discriminant S_k of the marginal spectrum {0,0,(1 +/- sqrt(S_k))/2}.
-
-    S_1 here is the Gram-determinant form 1 - 4 x0^2 (x2^2 + x3^2 + x4^2),
-    which agrees with the partial-trace spectrum everywhere.
-    """
-    x0, x1, x2, x3, x4 = params.x
-    ct = math.cos(params.theta)
-    if drop == 1:
-        det = x0 * x0 * (x2 * x2 + x3 * x3 + x4 * x4)
-    elif drop == 2:
-        det = (x0 * x0 * x3 * x3 + x2 * x2 * x3 * x3
-               - 2 * ct * x1 * x2 * x3 * x4
-               + x0 * x0 * x4 * x4 + x1 * x1 * x4 * x4)
-    elif drop == 3:
-        det = (x0 * x0 * x2 * x2 + x2 * x2 * x3 * x3
-               - 2 * ct * x1 * x2 * x3 * x4
-               + x0 * x0 * x4 * x4 + x1 * x1 * x4 * x4)
-    else:
-        raise DomainError(f"drop must be 1, 2 or 3, got {drop}")
-    return 1 - 4 * det
-
-
 def acin_marginal(params: AcinParams, drop):
-    """Marginal over two of the three qubits, with closed-form spectrum.
-
-    Every such marginal has rank at most 2, so lambda_max >= 1/2 and
-    membership in the absolute set is the boundary case S_k = 0.
-    """
-    s = acin_s_value(params, drop)
+    """Marginal left when qubit ``drop`` (1, 2 or 3; no bool) is traced out
+    of the canonical-form state; anything else raises :class:`DomainError`."""
+    drop = _as_int(drop, "drop")
+    if drop not in (1, 2, 3):
+        raise DomainError(f"drop must be 1, 2 or 3, got {drop}")
     ket = acin_state(params)
-    root = math.sqrt(max(s, 0.0))
-    eigs = np.array([0.5 * (1 + root), 0.5 * (1 - root), 0.0, 0.0])
-    return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop, eigs, s)
+    return _marginal_report(np.outer(ket, ket.conj()), [2, 2, 2], drop)
 
 
 # the pure states of the two mixture families below, built once and
@@ -133,13 +118,8 @@ def ghzw_state(p):
 
 
 def ghzw_marginal(p):
-    """Two-qubit marginal of the GHZ-W mixture (identical for all drops).
-
-    Spectrum {0, 2(1-p)/3, p/2, (2+p)/6}; absolute exactly for p >= 1/4.
-    """
-    p = float(p)
-    eigs = np.sort(np.array([0.0, 2 * (1 - p) / 3, p / 2, (2 + p) / 6]))[::-1]
-    return _marginal_report(ghzw_state(p), [2, 2, 2], 1, eigs)
+    """Two-qubit marginal of the GHZ-W mixture (identical for all drops)."""
+    return _marginal_report(ghzw_state(p), [2, 2, 2], 1)
 
 
 def three_qutrit_state(alpha, beta):
@@ -155,14 +135,5 @@ def three_qutrit_state(alpha, beta):
 
 
 def three_qutrit_marginal(alpha, beta):
-    """Two-qutrit marginal of the three-qutrit family.
-
-    Eigenvalues {(1-a-b)/9, (1+2a-b)/9, (1-a+2b)/9}, each with multiplicity
-    three; every valid (alpha, beta) gives an absolute marginal.
-    """
-    alpha, beta = float(alpha), float(beta)
-    distinct = np.array([(1 - alpha - beta) / 9,
-                         (1 + 2 * alpha - beta) / 9,
-                         (1 - alpha + 2 * beta) / 9])
-    eigs = np.sort(np.repeat(distinct, 3))[::-1]
-    return _marginal_report(three_qutrit_state(alpha, beta), [3, 3, 3], 1, eigs)
+    """Two-qutrit marginal of the three-qutrit family."""
+    return _marginal_report(three_qutrit_state(alpha, beta), [3, 3, 3], 1)

@@ -59,3 +59,42 @@ def product_operator(c, stacked):
     """sum_ij c_ij B_i (x) B_j over the (k, n, n) single-party basis ``stacked``."""
     n = stacked.shape[1]
     return np.einsum("ij,iab,jcd->acbd", c, stacked, stacked).reshape(n * n, n * n)
+
+
+def acin_s_oracle(params, drop):
+    """S_k of the canonical form written out by hand, one branch per drop.
+
+    S_1 is the Gram-determinant form 1 - 4 x0^2 (x2^2 + x3^2 + x4^2); each
+    branch is 1 - 4 det rho_k of the dropped qubit k.
+    """
+    x0, x1, x2, x3, x4 = params.x
+    ct = np.cos(params.theta)
+    if drop == 1:
+        det = x0 * x0 * (x2 * x2 + x3 * x3 + x4 * x4)
+    elif drop == 2:
+        det = (x0 * x0 * x3 * x3 + x2 * x2 * x3 * x3
+               - 2 * ct * x1 * x2 * x3 * x4
+               + x0 * x0 * x4 * x4 + x1 * x1 * x4 * x4)
+    else:
+        det = (x0 * x0 * x2 * x2 + x2 * x2 * x3 * x3
+               - 2 * ct * x1 * x2 * x3 * x4
+               + x0 * x0 * x4 * x4 + x1 * x1 * x4 * x4)
+    return 1 - 4 * det
+
+
+def acin_spectrum_oracle(s):
+    """{(1 + sqrt S)/2, (1 - sqrt S)/2, 0, 0}, descending; S < 0 reads as 0."""
+    root = np.sqrt(max(s, 0.0))
+    return np.array([0.5 * (1 + root), 0.5 * (1 - root), 0.0, 0.0])
+
+
+def ghzw_spectrum_oracle(p):
+    """{0, 2(1-p)/3, p/2, (2+p)/6}, descending."""
+    return np.sort([0.0, 2 * (1 - p) / 3, p / 2, (2 + p) / 6])[::-1]
+
+
+def three_qutrit_spectrum_oracle(alpha, beta):
+    """(1-a-b)/9, (1+2a-b)/9 and (1-a+2b)/9, each three times, descending."""
+    distinct = [(1 - alpha - beta) / 9, (1 + 2 * alpha - beta) / 9,
+                (1 - alpha + 2 * beta) / 9]
+    return np.sort(np.repeat(distinct, 3))[::-1]

@@ -14,7 +14,7 @@ import pytest
 from absfef import absolute, states, tripartite, witness
 from absfef.bases import GELLMANN
 from absfef.fef import canonical_ket, fef, fef_two_qubit_closed_form
-from absfef.linalg import DensityMatrix, partial_trace, validate_density
+from absfef.linalg import DensityMatrix, validate_density
 from absfef.reproduce import run_fixtures
 from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
 
@@ -296,15 +296,15 @@ def test_criterion_08_tripartite_marginals():
         x /= np.linalg.norm(x)
         params = tripartite.AcinParams(x=tuple(x),
                                        theta=rng.uniform(0, math.pi))
-        ket = tripartite.acin_state(params)
-        rho3 = np.outer(ket, ket.conj())
+        psi = tripartite.acin_state(params).reshape(2, 2, 2)
         for drop in (1, 2, 3):
-            red = partial_trace(rho3, [2, 2, 2], drop - 1)
-            oracle = np.sort(np.linalg.eigvalsh(red))[::-1]
-            s = max(tripartite.acin_s_value(params, drop), 0.0)
+            # S_k = 1 - 4 det rho_k of the dropped qubit k
+            m = np.moveaxis(psi, drop - 1, 0).reshape(2, 4)
+            s = max(1 - 4 * np.linalg.det(m @ m.conj().T).real, 0.0)
             closed = np.array([0.5 * (1 + math.sqrt(s)),
                                0.5 * (1 - math.sqrt(s)), 0.0, 0.0])
-            worst = max(worst, float(np.max(np.abs(oracle - closed))))
+            spectrum = tripartite.acin_marginal(params, drop).marginal.spectrum
+            worst = max(worst, float(np.max(np.abs(spectrum.eigenvalues - closed))))
     _check(failures, worst <= 1e-10,
            f"Acin closed-form spectra deviate by {worst!r} from partial trace")
 

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absfef import tripartite
-from absfef.absolute import is_absolute_fef
+from absfef.absolute import _membership, is_absolute_fef
 from absfef.errors import DomainError
 from absfef.fef import canonical_projector
 from absfef.linalg import partial_trace
+from helpers import (acin_s_oracle, acin_spectrum_oracle, ghzw_spectrum_oracle,
+                     three_qutrit_spectrum_oracle)
 
 
 def _random_acin(rng):
@@ -52,8 +56,8 @@ def test_acin_s_values_match_partial_trace(drop):
     rng = np.random.default_rng(50)
     for params in [_NEAR_BOUNDARY] + [_random_acin(rng) for _ in range(100)]:
         rep = tripartite.acin_marginal(params, drop)
-        oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
-        assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
+        oracle = acin_spectrum_oracle(acin_s_oracle(params, drop))
+        assert np.max(np.abs(oracle - rep.marginal.spectrum.eigenvalues)) < 1e-10
         assert _agrees_with_membership(rep)
     near = tripartite.acin_marginal(_NEAR_BOUNDARY, drop)
     assert (near.absolute, near.boundary) == (False, False)
@@ -69,30 +73,65 @@ def test_acin_ghz_counterexample_to_printed_s1():
                           + x3**2 * (-1 + x1**2 + 2 * x4**2)
                           + x2**2 * (-1 + x1**2 + 2 * x3**2 + 2 * x4**2))
     assert printed_s1 == pytest.approx(-1.0, abs=1e-12)
+    assert acin_s_oracle(params, 1) == pytest.approx(0.0, abs=1e-12)
     rep = tripartite.acin_marginal(params, 1)
-    assert rep.s_value == pytest.approx(0.0, abs=1e-12)
-    assert np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1] \
-        == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
+    lam = rep.marginal.spectrum.eigenvalues
+    assert (lam[0] - lam[1]) ** 2 == pytest.approx(0.0, abs=1e-12)  # S1
+    assert lam == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
     assert rep.absolute and rep.boundary
 
 
 def test_acin_marginal_bad_drop():
+    # drop is the 1-based qubit; a bool, a float or a string is no integer
     params = tripartite.AcinParams(x=(1, 0, 0, 0, 0))
-    with pytest.raises(DomainError):
-        tripartite.acin_marginal(params, 4)
+    for drop, message in ((True, "drop must be an integer, got True"),
+                          (2.0, "drop must be an integer, got 2.0"),
+                          ("1", "drop must be an integer, got '1'"),
+                          (0, "drop must be 1, 2 or 3, got 0"),
+                          (4, "drop must be 1, 2 or 3, got 4")):
+        with pytest.raises(DomainError) as info:
+            tripartite.acin_marginal(params, drop)
+        assert str(info.value) == message
+    rep = tripartite.acin_marginal(params, np.int64(2))
+    assert np.array_equal(rep.marginal.matrix,
+                          tripartite.acin_marginal(params, 2).marginal.matrix)
 
 
 def test_ghzw_marginal_spectrum_and_flip():
     for p in (0.0, 0.1, 0.25, 0.6, 1.0, 0.25 - 1e-6, 0.25 + 1e-6):
         rep = tripartite.ghzw_marginal(p)
-        oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
-        assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
+        oracle = ghzw_spectrum_oracle(p)
+        assert np.max(np.abs(oracle - rep.marginal.spectrum.eigenvalues)) < 1e-10
         assert _agrees_with_membership(rep)
     assert not tripartite.ghzw_marginal(0.25 - 1e-6).absolute
     assert tripartite.ghzw_marginal(0.25 + 1e-6).absolute
     assert tripartite.ghzw_marginal(0.25).boundary
     with pytest.raises(DomainError):
         tripartite.ghzw_marginal(1.5)
+
+
+_AMPLITUDES = st.lists(st.floats(0, 1), min_size=5, max_size=5).filter(
+    lambda v: max(v) >= 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_AMPLITUDES, theta=st.floats(0, math.pi))
+def test_pure_state_marginal_is_the_dropped_qubit(v, theta):
+    # By the canonical form and local-unitary invariance these cover every
+    # pure three-qubit state.  rho_AB shares its nonzero spectrum with the
+    # dropped qubit's rho_k, so the verdict is the threshold rule on
+    # lambda_max(rho_k).
+    x = np.array(v) / np.linalg.norm(v)
+    params = tripartite.AcinParams(x=tuple(x), theta=theta)
+    psi = tripartite.acin_state(params).reshape(2, 2, 2)
+    for drop in (1, 2, 3):
+        rep = tripartite.acin_marginal(params, drop)
+        assert rep.eigenvalues is rep.marginal.spectrum.eigenvalues
+        m = np.moveaxis(psi, drop - 1, 0).reshape(2, 4)
+        rho_k = np.linalg.eigvalsh(m @ m.conj().T)[::-1]
+        assert np.max(np.abs(rep.eigenvalues[:2] - rho_k)) <= 1e-14
+        assert np.max(np.abs(rep.eigenvalues[2:])) <= 1e-14
+        assert rep.absolute == _membership(float(rho_k[0]), 2).absolute
 
 
 def test_ghzw_marginal_drop_invariant():
@@ -109,15 +148,15 @@ def test_three_qutrit_marginal_grid():
             if alpha + beta > 1 + 1e-12:
                 continue
             rep = tripartite.three_qutrit_marginal(alpha, beta)
-            oracle = np.sort(np.linalg.eigvalsh(rep.marginal.matrix))[::-1]
-            assert np.max(np.abs(oracle - rep.eigenvalues)) < 1e-10
+            oracle = three_qutrit_spectrum_oracle(alpha, beta)
+            assert np.max(np.abs(oracle - rep.marginal.spectrum.eigenvalues)) < 1e-10
             assert rep.absolute
             assert _agrees_with_membership(rep)
 
 
 def test_three_qutrit_vertices():
     rep = tripartite.three_qutrit_marginal(1.0, 0.0)
-    assert np.sort(np.unique(np.round(rep.eigenvalues, 12))) \
+    assert np.sort(np.unique(np.round(rep.marginal.spectrum.eigenvalues, 12))) \
         == pytest.approx([0.0, 1 / 3], abs=1e-12)
     assert rep.boundary
     with pytest.raises(DomainError):
