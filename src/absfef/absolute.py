@@ -7,7 +7,6 @@ activating unitary.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,8 +88,7 @@ def is_absolutely_separable_2q(rho: DensityMatrix):
     return bool(lam[0] <= lam[2] + 2 * math.sqrt(max(lam[1] * lam[3], 0.0)) + 1e-12)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Three-way teleportation-usefulness verdict for a state.
 
     ``k_copy_nonlocal`` is about rho, not the activated state: True for
@@ -137,8 +135,7 @@ def classify(rho: DensityMatrix, restarts=None, seed=0):
         fef_restarts=result.restarts_used)
 
 
-@dataclass(frozen=True)
-class PurityBounds:
+class PurityBounds(NamedTuple):
     """Purity thresholds bracketing the absolute-FEF set.
 
     ``max_purity_absolute``: largest Tr(rho^2) compatible with membership.
@@ -172,5 +169,4 @@ def purity_bounds(d):
     min_spec[0] = 1 / d
     return PurityBounds(d=d, max_purity_absolute=float(np.sum(max_spec**2)),
                         min_purity_nonabsolute=float(np.sum(min_spec**2)),
-                        witness_spectra=(max_spec, min_spec),
-                        min_attained=False)
+                        witness_spectra=(max_spec, min_spec))

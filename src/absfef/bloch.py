@@ -5,7 +5,7 @@ Conventions: rho = I/4 + (1/2) sum a_i s_i (x) I + (1/2) sum b_j I (x) s_j
 t_ij = Tr(rho s_i (x) s_j)/4.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .linalg import DensityMatrix
 _PAULI = operator_basis("pauli")
 
 
-@dataclass(frozen=True)
-class BlochParams:
+class BlochParams(NamedTuple):
     """Local Bloch vectors and the correlation matrix of a two-qubit state."""
 
     a: np.ndarray

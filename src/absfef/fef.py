@@ -57,8 +57,8 @@ nondegenerate maximum.  A bound within _EPS of the value at X proves that
 value within the ascent's own stopping gain of the maximum: _EPS is the one
 threshold of every rung.  The maximally entangled vector nearest the top
 eigenvector v1 is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the
-Procrustes step once more, and f0 = f(X0^T) <= FEF.  Each rung runs only
-when the one before it fails:
+Procrustes step once more; f0 = f(X0^T) <= FEF is Re(vec(X0)^dag y0)/d,
+read off y0 = rho vec(X0).  Each rung runs only when the one before fails:
 
 1. lambda_max at X0, the Y = Z = 0 bound.  f <= lambda_max, with equality
    exactly when a maximally entangled vector lies in the top eigenspace.  A
@@ -73,7 +73,8 @@ when the one before it fails:
    ghzw(1/2 <= p < 1).  The gap is the same for rho and for R (A and B
    each move by lambda_min/2 I, which takes back the shift), so this rung
    reads rho itself and R is built only when it fails and the ascent runs.
-   B is herm(X0^dag G)^T/2, one product (see _dual_gap).
+   It reuses y0 as G = reshape(y0); B = herm(X0^dag G)^T/2 is one product,
+   and the slack subtracts one Kronecker-sum broadcast (see _dual_gap).
 3. The multistart: restart 0 starts at X0 and the others at Haar
    unitaries.  A restart that stops while it leads the stack and other
    restarts are still live gets the dual bound at its point, and a gap of
@@ -89,7 +90,7 @@ when the one before it fails:
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def fef_lower_bound(rho: DensityMatrix):
     (1/d) sum_ij rho[ii, jj], so |psi+><psi+| gives 1.
     """
     d = rho.d
-    return float(np.real(rho.matrix[:: d + 1, :: d + 1].sum())) / d
+    return float(rho.matrix[:: d + 1, :: d + 1].sum().real) / d
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,6 +195,14 @@ def _haar_starts(d, n, seed):
     return x
 
 
+@functools.lru_cache(maxsize=8)
+def _eye(n):
+    """Read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _dual_gap(m, x, y):
     """Gap between the dual upper bound at X and the value v^dag M v there.
 
@@ -210,18 +219,16 @@ def _dual_gap(m, x, y):
     each move by c/2 I, and together they take back the c I.
     """
     d = math.isqrt(x.size)
-    xm = x.reshape(d, d)
-    xh = xm.conj().T
+    xh = x.reshape(d, d).conj().T
     g = y.reshape(d, d)
     ha = g @ xh
-    a = (ha + ha.conj().T) / 4
     hb = xh @ g
-    b = (hb.T + hb.conj()) / 4
-    eye = np.eye(d)
-    # [i, j, k, l] indexes row i d + j, column k d + l: A (x) I is
-    # a[i, k] eye[j, l] and I (x) B is eye[i, k] b[j, l].
-    slack = (m.reshape(d, d, d, d) - a[:, None, :, None] * eye[:, None, :]
-             - eye[:, None, :, None] * b[:, None, :])
+    eye = _eye(d)
+    # ksum = 4 (A (x) I + I (x) B), so the 1/4 is exact: 4 A = ha + ha^dag,
+    # 4 B = hb^T + conj(hb), and [i, j, k, l] is row i d + j, column k d + l.
+    ksum = ((ha + ha.conj().T)[:, None, :, None] * eye[:, None, :]
+            + eye[:, None, :, None] * (hb.T + hb.conj())[:, None, :])
+    slack = m.reshape(d, d, d, d) - 0.25 * ksum
     return float(np.linalg.eigvalsh(slack.reshape(d * d, d * d))[-1])
 
 
@@ -308,8 +315,7 @@ def _ascend(r_mat, x, certify=False, checked=-np.inf):
     return out_x, out_values, step, None
 
 
-@dataclass(frozen=True)
-class FefResult:
+class FefResult(NamedTuple):
     """Outcome of the multistart FEF maximization.
 
     ``restarts_used`` is the restart count asked for, also when a
@@ -367,18 +373,19 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     seed = require_seed(seed)
 
     spectrum = rho.spectrum
-    lam_max, lam_min = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    lam_max, lam_min = spectrum.lambda_max, float(spectrum.eigenvalues[-1])
     # The certificate ladder (module docstring), at X0 = polar(reshape(v1)).
     w, _, vh = np.linalg.svd(spectrum.eigenvectors[:, 0].reshape(d, d))
     x0 = w @ vh
     v0 = x0.ravel()
-    f0 = float(np.real(v0.conj() @ rho.matrix @ v0)) / d
+    y0 = rho.matrix @ v0
+    f0 = float((v0.conj() @ y0).real) / d
     value, x, bound, converged, steps = f0, x0, lam_max, True, 0
     if lam_max - f0 > _EPS:
-        gap = _dual_gap(rho.matrix, v0, rho.matrix @ v0)
+        gap = _dual_gap(rho.matrix, v0, y0)
         bound = f0 + gap
         if gap > _EPS:
-            r_mat = rho.matrix - lam_min * np.eye(d * d)
+            r_mat = rho.matrix - lam_min * _eye(d * d)
             starts = np.concatenate(
                 (v0[None], _haar_starts(d, restarts - 1, seed)))
             xs, values, steps, cert = _ascend(r_mat, starts, certify=True,

@@ -10,6 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ def _local_dim(d):
     return d
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in descending order with aligned orthonormal eigenvectors.
 
     ``eigenvectors[:, k]`` is the eigenvector for ``eigenvalues[k]``.

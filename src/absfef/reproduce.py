@@ -6,7 +6,7 @@ acceptance suite both run this registry.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .fef import (canonical_ket, canonical_projector, fef,
 from .linalg import partial_trace, validate_density
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     expected: float
     computed: float

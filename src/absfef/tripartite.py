@@ -18,6 +18,7 @@ partial-trace marginal, through :func:`~absfef.absolute.is_absolute_fef`.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class AcinParams:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
 
 
-@dataclass(frozen=True)
-class MarginalReport:
+class MarginalReport(NamedTuple):
     """A two-party marginal with its absolute-FEF verdict."""
 
     marginal: DensityMatrix

@@ -8,7 +8,8 @@ on every absolute-FEF state.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .bases import operator_basis
@@ -20,8 +21,7 @@ _HERM_TOL = 1e-12
 _UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WitnessOperator:
+class WitnessOperator(NamedTuple):
     """A Hermitian witness operator."""
 
     matrix: np.ndarray
@@ -81,8 +81,7 @@ def evaluate(s: WitnessOperator, rho: DensityMatrix):
     return float(val.real)
 
 
-@dataclass(frozen=True)
-class BasisDecomposition:
+class BasisDecomposition(NamedTuple):
     """Coefficients of H = sum_ij c_ij B_i (x) B_j over a product basis."""
 
     basis_kind: str

@@ -1,4 +1,6 @@
-"""Shared sampling utilities for the test suite."""
+"""Shared sampling utilities and exact oracles for the test suite."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,3 +100,46 @@ def three_qutrit_spectrum_oracle(alpha, beta):
     distinct = [(1 - alpha - beta) / 9, (1 + 2 * alpha - beta) / 9,
                 (1 - alpha + 2 * beta) / 9]
     return np.sort(np.repeat(distinct, 3))[::-1]
+
+
+def partial_transpose(m, d):
+    """rho^Gamma: the transpose of party B of a d (x) d matrix, an exact
+    permutation of the stored entries."""
+    return m.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+
+
+def exact_psd(h, shift=0):
+    """Whether shift I + H is positive semidefinite, decided exactly.
+
+    Every float is a rational number, so the stored entries of H are read as
+    the ``Fraction`` each one is, and ``shift`` (a ``Fraction`` or int) is
+    added to the diagonal exactly.  A Hermitian H is PSD exactly when its real
+    symmetric embedding [[Re H, -Im H], [Im H, Re H]] is.  Symmetric Gaussian
+    elimination on the embedding replaces the trailing block by its Schur
+    complement over each pivot.  A negative pivot refutes PSD; so does a zero
+    pivot whose row is not zero (the 2 x 2 minor through it is negative).
+    Otherwise every pivot is >= 0 and the matrix is PSD.  H must be exactly
+    Hermitian, as a validated state's matrix is.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    re = [[Fraction(float(v.real)) for v in row] for row in h]
+    im = [[Fraction(float(v.imag)) for v in row] for row in h]
+    a = [re[i] + [-v for v in im[i]] for i in range(n)]
+    a += [im[i] + re[i] for i in range(n)]
+    for i in range(2 * n):
+        a[i][i] += shift
+    for k in range(2 * n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(a[k][j] for j in range(k + 1, 2 * n)):
+                return False
+            continue
+        for i in range(k + 1, 2 * n):
+            factor = a[i][k] / pivot
+            if factor:
+                for j in range(k + 1, 2 * n):
+                    a[i][j] -= factor * a[k][j]
+    return True

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from absfef import absolute, states, witness
 from absfef.errors import DomainError
 from absfef.fef import canonical_ket, fef
 from absfef.linalg import validate_density
-from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
+from helpers import (absolute_state, capped_spectrum, exact_psd,
+                     ginibre_density, haar_unitary, partial_transpose)
 
 
 def test_membership_verdicts():
@@ -31,6 +34,69 @@ def test_membership_isotropic_flip():
         assert absolute.is_absolute_fef(states.isotropic(d, flip - 1e-6)).absolute
         assert not absolute.is_absolute_fef(states.isotropic(d, flip + 1e-6)).absolute
         assert absolute.is_absolute_fef(states.isotropic(d, flip)).boundary
+
+
+def _exactly_absolute(rho):
+    """lambda_max <= 1/d for the stored floats of rho, decided exactly."""
+    return exact_psd(-rho.matrix, Fraction(1, rho.d))
+
+
+# (state, exact verdict of lambda_max <= 1/d on its stored floats).  The
+# library calls every one of them a member with the boundary flag set.
+_EDGE_STATES = [
+    *[(("isotropic", {"d": d, "beta": 1 / (d + 1) + delta}), delta < 0)
+      for d in (2, 3) for delta in (1e-15, -1e-15, 1e-12, -1e-12, 5e-10,
+                                    -5e-10)],
+    # the floats of beta = 1/3 and of the entries round the state outside by
+    # 2.8e-17; those of isotropic(3, 1/4) land inside by 1.9e-17
+    (("isotropic", {"d": 2, "beta": 1 / 3}), False),
+    (("isotropic", {"d": 3, "beta": 1 / 4}), True),
+    # exactly on the edge, and 1e-12 to either side of it
+    (("ghzw", {"p": 0.25}), True),
+    (("ghzw", {"p": 0.25 + 1e-12}), True),
+    (("ghzw", {"p": 0.25 - 1e-12}), False),
+    (("af_not_as_example", {}), True),
+]
+
+
+def test_exact_psd_oracle_on_small_cases():
+    # a zero pivot with a nonzero rest of its row refutes PSD
+    assert exact_psd(np.array([[0, 0], [0, 1]]))
+    assert not exact_psd(np.array([[0, 1], [1, 1]]))
+    assert not exact_psd(np.array([[1, 2], [2, 1]]))
+    assert exact_psd(np.array([[1, 1j], [-1j, 1]]))
+    assert not exact_psd(np.array([[1, 1j], [-1j, 1]]), Fraction(-1, 10**20))
+    # away from the edge it agrees with eigvalsh
+    rng = np.random.default_rng(16)
+    for d in (2, 3):
+        for _ in range(5):
+            rho = validate_density(ginibre_density(rng, d * d), d, d)
+            lam = rho.spectrum.lambda_max
+            assert exact_psd(-rho.matrix, Fraction(lam * (1 + 1e-6)))
+            assert not exact_psd(-rho.matrix, Fraction(lam * (1 - 1e-6)))
+
+
+def test_exact_oracle_decides_the_edge_states():
+    assert len(_EDGE_STATES) == 18
+    for (family, params), inside in _EDGE_STATES:
+        rho = states.construct(family, **params)
+        verdict = absolute.is_absolute_fef(rho)
+        assert verdict.absolute and verdict.boundary
+        assert _exactly_absolute(rho) == inside, (family, params)
+    # the FOUND case on its own: the float matrix of isotropic(2, 1/3) is
+    # outside the absolute-FEF set, though eigvalsh reads lambda_max = 1/2
+    assert not _exactly_absolute(states.isotropic(2, 1 / 3))
+
+
+@pytest.mark.parametrize("family, params, ppt", [
+    ("x1", {}, True),
+    ("bell_diag", {"t11": 0.1, "t22": -0.05, "t33": 0.02}, True),
+    ("ghzw", {"p": 0.6}, True),
+    ("x2", {"q": 0.45}, False),
+])
+def test_exact_oracle_decides_ppt(family, params, ppt):
+    rho = states.construct(family, **params)
+    assert exact_psd(partial_transpose(rho.matrix, rho.d)) == ppt
 
 
 def test_max_global_fef_is_lambda_max():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -355,6 +356,33 @@ def test_public_api_surface():
         "partial_trace", "pullback", "purity_bounds", "teleportation_witness",
         "three_qutrit_marginal", "validate_density",
     ]
+
+
+def test_result_records_are_immutable():
+    # The plain records are NamedTuples; the three classes that cache a
+    # property or validate stay frozen dataclasses.  Either way no field can
+    # be reassigned and no attribute added.
+    rho = states.x1()
+    w = witness.teleportation_witness(2)
+    params = absfef.AcinParams(x=(1, 0, 0, 0, 0))
+    tuples = [
+        rho.spectrum, fef(rho), absolute.classify(rho),
+        absolute.is_absolute_fef(rho), absolute.purity_bounds(2),
+        absfef.bloch_extract(rho), w, witness.decompose(w.matrix, "pauli"),
+        tripartite.ghzw_marginal(0.5),
+        FixtureResult(name="x", expected=1.0, computed=1.0, tolerance=0.0),
+    ]
+    assert sorted(type(r).__name__ for r in tuples) == [
+        "BasisDecomposition", "BlochParams", "ClassificationReport",
+        "FefResult", "FixtureResult", "MarginalReport", "MembershipVerdict",
+        "PurityBounds", "Spectrum", "WitnessOperator"]
+    assert all(isinstance(r, tuple) for r in tuples)
+    for record in tuples + [rho, params]:
+        names = (record._fields if isinstance(record, tuple)
+                 else [f.name for f in dataclasses.fields(record)])
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_restarts_help_names_the_defaults(runner):

@@ -166,11 +166,19 @@ def test_fef_ascent_path_unchanged(monkeypatch):
     # closed-form dual stays loose.  So does x2(q) for 1/3 < q < 1/2.
     rhos += [states.y3(k / 40) for k in range(1, 20)]
     rhos += [states.x2(k / 40) for k in range(14, 20)]
-    identical = 0
+    identical = at_x0 = 0
     for rho in rhos:
         evaluated.clear()
         res = fef(rho)
+        if evaluated:
+            # the X0 rung forms y = rho x once and hands it to the dual
+            _, x, y = evaluated[0]
+            assert np.array_equal(y, rho.matrix @ x)
         if res.upper_bound - res.value <= _EPS:
+            if res.iterations == 0 and len(evaluated) == 1:
+                # certified by the dual at X0: the value is read off y
+                assert res.value == (x.conj() @ y).real / rho.d
+                at_x0 += 1
             continue  # certified
         assert res.upper_bound == rho.spectrum.lambda_max
         restarts = DEFAULT_RESTARTS[rho.d]
@@ -186,6 +194,7 @@ def test_fef_ascent_path_unchanged(monkeypatch):
             assert np.array_equal(res.optimizer_unitary, unitary)
             identical += 1
     assert identical >= 4
+    assert at_x0 >= 3  # the rank-1 states
     # Y3(q), q > 1/2: |psi+> is the top eigenvector, FEF = lambda_max = q.
     for k in range(11, 21):
         res = fef(states.y3(k / 20))
