@@ -38,17 +38,13 @@ def _fmt(x):
 
 
 def _dumps(obj, indent=0):
-    """JSON writer with a fixed float format (17 significant digits)."""
+    """JSON writer: floats to 17 significant digits, numpy arrays as lists."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
@@ -89,15 +85,16 @@ def _matrix_from_json(rows):
 def _load_matrix_file(path, needs):
     """Read a JSON file holding a row-major [re, im] 'matrix'.
 
-    Returns (document, matrix).  Invalid JSON, a missing 'matrix' (reported
-    as ``needs``) or a malformed entry is a parse error (exit 2); a file
-    that cannot be opened stays an I/O error (exit 5).
+    Returns (document, matrix).  Invalid JSON (also text that is not UTF-8
+    or nests too deep to parse), a missing 'matrix' (reported as ``needs``)
+    or a malformed entry is a parse error (exit 2); a file that cannot be
+    opened stays an I/O error (exit 5).
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return doc, _matrix_from_json(doc["matrix"])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _format_error(f"invalid JSON in {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise _format_error(f"{needs}: {exc}") from exc
@@ -227,7 +224,7 @@ def _build_report(rho, opts):
     doc = {
         "dims": [rho.d, rho.d],
         "threshold": report.threshold,
-        "spectrum": [float(v) for v in rho.spectrum.eigenvalues],
+        "spectrum": rho.spectrum.eigenvalues,
         "purity": rho.purity(),
         "lambda_max": report.lambda_max,
         "label": report.label,
@@ -243,10 +240,7 @@ def _build_report(rho, opts):
         "teleportation_useful": report.teleportation_useful,
     }
     if rho.d == 2:
-        bp = bloch_extract(rho)
-        doc["bloch"] = {"a": [float(v) for v in bp.a],
-                        "b": [float(v) for v in bp.b],
-                        "t": [[float(v) for v in row] for row in bp.t]}
+        doc["bloch"] = bloch_extract(rho)._asdict()
         doc["absolutely_separable"] = absolute.is_absolutely_separable_2q(rho)
     return doc
 
@@ -310,8 +304,8 @@ def witness_cmd(ctx, unitary_path, **kwargs):
         "expectation": expectation,
         "decomposition": {
             "basis": kind,
-            "labels": list(dec.labels),
-            "coefficients": [[float(v) for v in row] for row in dec.coefficients],
+            "labels": dec.labels,
+            "coefficients": dec.coefficients,
         },
     }
     if ctx.obj["json"]:
@@ -381,26 +375,24 @@ def scan(ctx, family, range_spec, d, output):
 def bounds(ctx, d):
     """Purity thresholds bracketing the absolute-FEF set."""
     pb = absolute.purity_bounds(d)
+    max_spec, min_spec = pb.witness_spectra
     doc = {
         "d": pb.d,
         "max_purity_absolute": pb.max_purity_absolute,
         "min_purity_nonabsolute": pb.min_purity_nonabsolute,
         "min_attained": pb.min_attained,
-        "witness_spectra": {
-            "max": [float(v) for v in pb.witness_spectra[0]],
-            "min": [float(v) for v in pb.witness_spectra[1]],
-        },
+        "witness_spectra": {"max": max_spec, "min": min_spec},
     }
     if ctx.obj["json"]:
         click.echo(_dumps(doc))
     else:
         click.echo(f"d = {pb.d}")
         click.echo(f"max purity of absolute states: {_fmt(pb.max_purity_absolute)} "
-                   f"(spectrum {', '.join(_fmt(v) for v in pb.witness_spectra[0])})")
+                   f"(spectrum {', '.join(_fmt(v) for v in max_spec)})")
         click.echo(f"min purity of non-absolute states: "
                    f"{_fmt(pb.min_purity_nonabsolute)} "
                    f"(infimum, not attained; spectrum "
-                   f"{', '.join(_fmt(v) for v in pb.witness_spectra[1])})")
+                   f"{', '.join(_fmt(v) for v in min_spec)})")
 
 
 @main.command()

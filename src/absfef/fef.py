@@ -114,7 +114,8 @@ _EPS = 1e-8 * 1e-3
 def require_supported_dim(d):
     """Raise :class:`DomainError` unless :func:`fef` accepts local dimension d."""
     if d not in DEFAULT_RESTARTS:
-        raise DomainError(f"unsupported local dimension {d}; expected 2 or 3")
+        raise DomainError(f"unsupported local dimension {d}; expected "
+                          f"{' or '.join(map(str, DEFAULT_RESTARTS))}")
 
 
 def require_restarts(restarts):
@@ -335,12 +336,6 @@ class FefResult(NamedTuple):
     #: certified the value, at X0 (a certificate at X0 made the ascent
     #: unnecessary) or during the ascent; lambda_max otherwise.
     upper_bound: float
-
-    def evaluate(self, rho: DensityMatrix):
-        """Re-evaluate the objective at the stored unitary."""
-        d = rho.d
-        v = self.optimizer_unitary.T.ravel() / math.sqrt(d)
-        return float(np.real(v.conj() @ rho.matrix @ v))
 
 
 def fef(rho: DensityMatrix, restarts=None, seed=0):

@@ -14,7 +14,7 @@ from . import absolute, bloch, states, tripartite, witness
 from .bases import GELLMANN
 from .fef import (canonical_ket, canonical_projector, fef,
                   fef_two_qubit_closed_form)
-from .linalg import partial_trace, validate_density
+from .linalg import validate_density
 
 
 class FixtureResult(NamedTuple):
@@ -45,10 +45,6 @@ def _value(name, expected, computed, tol):
 
 def _bool(name, expected, computed):
     return _value(name, 1.0 if expected else 0.0, 1.0 if computed else 0.0, 0.0)
-
-
-def _proj(ket):
-    return np.outer(ket, np.conj(ket))
 
 
 def run_fixtures(restarts=None, seed=0):
@@ -160,9 +156,10 @@ def run_fixtures(restarts=None, seed=0):
     q = 0.2
     c_star = 2 * q / (3 - 7 * q)
     y3_expected = q * (2 * c_star + 1) ** 2 / 9 + (1 - q) * (1 - c_star ** 2) / 3
-    y3_fef = fef(states.y3(q), **opts).value
-    out.append(_value("fef.y3.q0.2", y3_expected, y3_fef, 1e-6))
-    out.append(_bool("fef.y3.q0.2.below_threshold", True, y3_fef <= 1 / 3 + 1e-9))
+    y3_report = absolute.classify(states.y3(q), **opts)
+    out.append(_value("fef.y3.q0.2", y3_expected, y3_report.fef_value, 1e-6))
+    out.append(_bool("fef.y3.q0.2.below_threshold", True,
+                     y3_report.label != absolute.LABEL_USEFUL))
     for d in (2, 3):
         rho = states.construct("max_entangled", d=d)
         out.append(_value(f"fef.max_entangled.d{d}", 1.0,
@@ -234,7 +231,7 @@ def run_fixtures(restarts=None, seed=0):
 
     # --- tripartite ---
     ghz_params = tripartite.AcinParams(x=(1 / math.sqrt(2), 0, 0, 0, 1 / math.sqrt(2)))
-    red1 = partial_trace(_proj(tripartite.acin_state(ghz_params)), [2, 2, 2], 0)
+    red1 = tripartite.acin_marginal(ghz_params, 1).marginal.matrix
     out.append(_maxdiff("tripartite.acin_ghz.drop1_marginal", red1,
                         np.diag([0.5, 0, 0, 0.5]).astype(complex), 1e-12))
     rep2 = tripartite.acin_marginal(ghz_params, 2)

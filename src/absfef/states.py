@@ -177,16 +177,16 @@ _U3 = 0.5 * np.array([
 ], dtype=complex)
 
 _FIXTURE_UNITARIES = {"U1": _U1, "U2": _U2, "U3": _U3}
+for _u in _FIXTURE_UNITARIES.values():
+    _u.setflags(write=False)
 
 
 def fixture_unitary(uid):
-    """The read-only matrix of the fixture unitary "U1", "U2" or "U3"."""
+    """The shared read-only matrix of the fixture unitary "U1", "U2" or "U3"."""
     try:
-        m = _FIXTURE_UNITARIES[uid].copy()
+        return _FIXTURE_UNITARIES[uid]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown fixture unitary {uid!r}") from None
-    m.setflags(write=False)
-    return m
 
 
 def conjugate(rho: DensityMatrix, u) -> DensityMatrix:

@@ -1,5 +1,6 @@
 """Shared sampling utilities and exact oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,14 @@ def absolute_state(rng, d, alpha=1.0):
     lam = capped_spectrum(rng, n, 1.0 / d, alpha)
     u = haar_unitary(rng, n)
     return (u * lam) @ u.conj().T
+
+
+def fef_objective(rho, u):
+    """<psi+|(I (x) U^dag) rho (I (x) U)|psi+> for the d (x) d state ``rho``,
+    with |psi+> = sum_i |ii> / sqrt(d) built from the identity."""
+    d = rho.d
+    phi = np.kron(np.eye(d), u) @ np.eye(d).ravel() / math.sqrt(d)
+    return float(np.real(phi.conj() @ rho.matrix @ phi))
 
 
 def product_operator(c, stacked):

@@ -138,6 +138,16 @@ def test_analyze_input_dims_below_two_exit_3(runner, tmp_path):
     assert res.stderr == "error: d must be >= 2, got -1\n"
 
 
+def _run_python(*args):
+    """Run a fresh ``python *args`` that imports this checkout's absfef."""
+    src = str(Path(absfef.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
 def test_analyze_oversized_entry_exit_2_without_warnings(tmp_path):
     # finite, Hermitian and unit trace, but |m_01| > 1 cannot be PSD; run as
     # a fresh process so that a numpy warning would reach its real stderr
@@ -145,16 +155,38 @@ def test_analyze_oversized_entry_exit_2_without_warnings(tmp_path):
     m[0, 1] = m[1, 0] = 1e308
     path = tmp_path / "oversized.json"
     _write_state(path, m, (2, 2))
-    src = str(Path(absfef.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-m", "absfef.cli", "analyze",
-                          "--input", str(path)],
-                         capture_output=True, text=True, env=env, timeout=60)
+    res = _run_python("-m", "absfef.cli", "analyze", "--input", str(path))
     assert res.returncode == 2
     assert "RuntimeWarning" not in res.stderr
     assert res.stderr.startswith("error: entry of modulus 1e+308 exceeds 1")
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    res = _run_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    fef_value, absolute_flag, expectation = res.stdout.split()
+    assert (fef_value, absolute_flag) == ("0.5", "False")
+    assert float(expectation) < 0
+
+
+# JSON text is UTF-8, and a document nested this deep overflows the parser's
+# recursion limit: both are invalid JSON, a parse error.
+_UNPARSABLE = {"not_utf8": b"\xff{}",
+               "too_deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNPARSABLE))
+@pytest.mark.parametrize("option", ["--input", "--unitary"])
+def test_unparsable_json_file_exit_2(runner, tmp_path, kind, option):
+    path = tmp_path / "file.json"
+    path.write_bytes(_UNPARSABLE[kind])
+    args = (["witness", "--family", "x1", "--unitary", str(path)]
+            if option == "--unitary" else ["analyze", "--input", str(path)])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: invalid JSON in {path}: ")
 
 
 def test_analyze_missing_file_exit_5(runner, tmp_path):
@@ -606,6 +638,15 @@ def test_reproduce_failure_exit_1(runner, monkeypatch):
     doc = json.loads(res.stdout)
     assert [(r["name"], r["passed"]) for r in doc] == [
         ("kept", True), ("broken", False), ("also_kept", True)]
+
+
+def test_reproduce_threshold_follows_the_library_rule(monkeypatch):
+    # a negative tolerance puts FEF(Y3(0.2)) = 0.3 above the threshold rule's
+    # edge, so classify calls it USEFUL and the fixture must fail with it
+    monkeypatch.setattr(absolute, "BOUNDARY_TOL", -0.05)
+    results = {r.name: r for r in run_fixtures()}
+    assert results["fef.y3.q0.2"].passed
+    assert not results["fef.y3.q0.2.below_threshold"].passed
 
 
 @pytest.mark.parametrize("args", [["--restarts", "0"], ["--restarts", "20000"]])

@@ -13,7 +13,7 @@ from absfef.fef import (_EPS, _MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS,
                         canonical_projector, fef, fef_lower_bound,
                         fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
-from helpers import ginibre_density, haar_unitary
+from helpers import fef_objective, ginibre_density, haar_unitary
 
 
 def _as_state(m, d):
@@ -141,7 +141,7 @@ def test_fef_certified_when_top_eigenvector_maximally_entangled(d, seed):
     assert res.restarts_used == DEFAULT_RESTARTS[d]
     u = res.optimizer_unitary
     assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
-    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+    assert abs(fef_objective(rho, u) - res.value) <= 1e-12
 
 
 def test_fef_ascent_path_unchanged(monkeypatch):
@@ -278,7 +278,7 @@ def test_fef_certified_by_the_dual_at_x0(monkeypatch, name, params):
     assert res.value <= res.upper_bound <= res.value + _EPS
     assert res.upper_bound < rho.spectrum.lambda_max - 1e-3
     assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-12
-    assert abs(res.evaluate(rho) - res.value) <= 1e-15
+    assert abs(fef_objective(rho, res.optimizer_unitary) - res.value) <= 1e-15
 
 
 def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
@@ -340,13 +340,13 @@ def test_fef_iterations():
     assert fef(states.y3(1 / 3)).iterations <= 400
 
 
-def test_fef_result_evaluate_consistent():
+def test_fef_optimizer_unitary_attains_value():
     for d in (2, 3):
         rho = _as_state(ginibre_density(np.random.default_rng(13), d * d), d)
         res = fef(rho, restarts=4, seed=0)
         u = res.optimizer_unitary
         assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-9
-        assert res.evaluate(rho) == pytest.approx(res.value, abs=1e-12)
+        assert fef_objective(rho, u) == pytest.approx(res.value, abs=1e-12)
     # No restart starts at the identity, so on y3 at q in [1/3, 1/2], where
     # the identity is the maximizer, the ascent can stop short of the
     # canonical overlap q; the clip lifts the value to it and returns the
@@ -354,7 +354,7 @@ def test_fef_result_evaluate_consistent():
     for k in range(1, 21):
         rho = states.y3(k / 20)
         res = fef(rho)
-        assert abs(res.evaluate(rho) - res.value) <= 1e-12
+        assert abs(fef_objective(rho, res.optimizer_unitary) - res.value) <= 1e-12
 
 
 def test_fef_clip_to_overlap_returns_identity():
@@ -364,7 +364,7 @@ def test_fef_clip_to_overlap_returns_identity():
     res = fef(rho)
     assert res.value == fef_lower_bound(rho)
     assert np.array_equal(res.optimizer_unitary, np.eye(3))
-    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+    assert abs(fef_objective(rho, res.optimizer_unitary) - res.value) <= 1e-12
     assert res.value <= res.upper_bound
 
 
@@ -377,7 +377,7 @@ def test_fef_overlap_wins_the_clip():
     res = fef(rho)
     assert res.value == fef_lower_bound(rho)
     assert res.upper_bound >= res.value
-    assert abs(res.evaluate(rho) - res.value) <= 1e-12
+    assert abs(fef_objective(rho, res.optimizer_unitary) - res.value) <= 1e-12
     for k in range(1, 21):
         rho = states.x2(k / 20)
         res = fef(rho)

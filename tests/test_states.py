@@ -205,6 +205,8 @@ def test_fixture_unitaries_unitary(uid, n):
     u = states.fixture_unitary(uid)
     assert u.shape == (n, n)
     assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
+    # one shared array, frozen once
+    assert states.fixture_unitary(uid) is u
     with pytest.raises(ValueError):
         u[0, 0] = 0
 
