@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-Commands: analyze, witness, scan, bounds, reproduce.  All numeric output is
-printed with 17 significant digits and is byte-deterministic given the same
-inputs and seed.
+Commands: analyze, witness, scan, bounds, reproduce.  Text and CSV print
+floats with 17 significant digits, --json the shortest round-trip decimal;
+all output is byte-deterministic given the same inputs and seed.
 
 Exit codes: 0 success, 1 fixture failure, 2 parse error, 3 domain error,
 4 no detecting witness exists, 5 I/O error.
@@ -37,23 +37,11 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _dumps(obj, indent=0):
-    """JSON writer: floats to 17 significant digits, numpy arrays as lists."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        items = [f'{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    return json.dumps(obj)
+def _dumps(obj):
+    """JSON text of ``obj``: numpy arrays and scalars go through their own
+    ``tolist()``, and a NaN or inf raises ValueError (exit 3)."""
+    return json.dumps(obj, indent=2, allow_nan=False,
+                      default=lambda o: o.tolist())
 
 
 def _num(text):
@@ -65,10 +53,6 @@ def _num(text):
         return float(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}") from exc
-
-
-def _matrix_to_json(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _format_error(message):
@@ -300,7 +284,7 @@ def witness_cmd(ctx, unitary_path, **kwargs):
     dec = witness_mod.decompose(s.matrix, kind)
     doc = {
         "d": d,
-        "witness_matrix": _matrix_to_json(s.matrix),
+        "witness_matrix": np.stack((s.matrix.real, s.matrix.imag), axis=-1),
         "expectation": expectation,
         "decomposition": {
             "basis": kind,

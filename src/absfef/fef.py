@@ -233,7 +233,7 @@ def _dual_gap(m, x, y):
     return float(np.linalg.eigvalsh(slack.reshape(d * d, d * d))[-1])
 
 
-def _ascend(r_mat, x, certify=False, checked=-np.inf):
+def _ascend(r_mat, x, certify=False):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -248,10 +248,9 @@ def _ascend(r_mat, x, certify=False, checked=-np.inf):
     value is within _EPS of the live maximum) and either other restarts are
     still live or its step used momentum: its :func:`_dual_gap` is
     evaluated unless a gap was already found open at a value within _EPS of
-    its own, or of ``checked``, a value whose gap the caller found open.  A
-    gap of at most _EPS stops the whole stack.  A leader whose momentum step
-    gained no more than _EPS while its gap is open does not stop: its
-    momentum is reset and it takes a plain step next.
+    its own.  A gap of at most _EPS stops the whole stack.  A leader whose
+    momentum step gained no more than _EPS while its gap is open does not
+    stop: its momentum is reset and it takes a plain step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
@@ -265,6 +264,7 @@ def _ascend(r_mat, x, certify=False, checked=-np.inf):
     values = (x.conj() * y).real.sum(axis=1) / d
     y_prev = y
     k = np.zeros(n)
+    checked = -np.inf  # the last leader value whose gap was found open
     live = np.arange(n)
     out_x = np.empty((n, dd), dtype=complex)
     out_values = np.empty(n)
@@ -287,10 +287,9 @@ def _ascend(r_mat, x, certify=False, checked=-np.inf):
         done = (accept & (gain <= _EPS)) | (step == _MAX_STEPS)
         if not done.any():
             continue
-        # k > 1 marks a restart whose accepted step used momentum.
-        if certify and (k.max() > 1 or not done.all()):
+        if certify:
             i = int(np.argmax(np.where(done, values, -np.inf)))
-            momentum = k[i] > 1
+            momentum = k[i] > 1  # its accepted step used momentum
             if ((momentum or not done.all())
                     and values[i] >= values.max() - _EPS):
                 if values[i] > checked + _EPS:  # a new leader value
@@ -383,8 +382,7 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
             r_mat = rho.matrix - lam_min * _eye(d * d)
             starts = np.concatenate(
                 (v0[None], _haar_starts(d, restarts - 1, seed)))
-            xs, values, steps, cert = _ascend(r_mat, starts, certify=True,
-                                              checked=f0 - lam_min)
+            xs, values, steps, cert = _ascend(r_mat, starts, certify=True)
             if cert is None:
                 best, bound = int(np.argmax(values)), lam_max
                 top = np.sort(values)[::-1]

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DensityValidationError, DomainError, MatrixShapeError
 
 HERMITICITY_TOL = 1e-10
+_UNITARY_TOL = 1e-10
 
 
 def _as_int(value, name):
@@ -43,6 +44,23 @@ def _local_dim(d):
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     return d
+
+
+def _require_unitary(u, n):
+    """``u`` as a complex array; raise :class:`MatrixShapeError` unless it is
+    n x n and :class:`DomainError` unless max |U^dag U - I| <= 1e-10 (a NaN
+    or inf entry fails too)."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (n, n):
+        raise MatrixShapeError(f"unitary of shape {u.shape} does not match "
+                               f"dimension {n}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = u.conj().T @ u
+        g.ravel()[:: n + 1] -= 1  # ravel() is a view: g is fresh, C-ordered
+        dev = float(np.abs(g).max())
+    if not dev <= _UNITARY_TOL:  # NaN fails too
+        raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
+    return u
 
 
 class Spectrum(NamedTuple):
@@ -73,7 +91,8 @@ def _check_finite(m):
 def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises :class:`DensityValidationError` when an entry is not finite or
+    Raises :class:`MatrixShapeError` unless H is a non-empty square matrix,
+    :class:`DensityValidationError` when an entry is not finite or
     max |H - H^dag| exceeds ``HERMITICITY_TOL`` (an overflowing H - H^dag
     included), and :class:`DomainError` when an eigenvalue of a finite
     Hermitian H overflows.  Returns a :class:`Spectrum` with eigenvalues
@@ -83,6 +102,8 @@ def eig_hermitian(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {h.shape}")
+    if not h.size:
+        raise MatrixShapeError("expected a non-empty matrix, got shape (0, 0)")
     _check_finite(h)
     with np.errstate(over="ignore"):  # an overflow reads inf and fails below
         asym = float(np.abs(h - h.conj().T).max())

@@ -12,7 +12,8 @@ import numpy as np
 from .bases import PAULI
 from .errors import DomainError
 from .fef import canonical_projector
-from .linalg import DensityMatrix, as_dim, validate_density
+from .linalg import (DensityMatrix, _require_unitary, as_dim,
+                     validate_density)
 from .tripartite import ghzw_marginal
 
 
@@ -190,6 +191,11 @@ def fixture_unitary(uid):
 
 
 def conjugate(rho: DensityMatrix, u) -> DensityMatrix:
-    """Apply a global unitary: U rho U^dag, keeping the bipartition."""
-    u = np.asarray(u, dtype=complex)
+    """Apply a global unitary: U rho U^dag, keeping the bipartition.
+
+    A ``u`` that is not d^2 x d^2 raises :class:`MatrixShapeError`; one with
+    a NaN or inf entry, or one that is not unitary, raises
+    :class:`DomainError`.
+    """
+    u = _require_unitary(u, rho.d * rho.d)
     return validate_density(u @ rho.matrix @ u.conj().T, rho.d, rho.d)

@@ -15,10 +15,9 @@ import numpy as np
 from .bases import operator_basis
 from .errors import DomainError, MatrixShapeError
 from .fef import canonical_projector
-from .linalg import DensityMatrix, as_dim
+from .linalg import DensityMatrix, _require_unitary, as_dim
 
 _HERM_TOL = 1e-12
-_UNITARY_TOL = 1e-10
 
 
 class WitnessOperator(NamedTuple):
@@ -50,19 +49,8 @@ def pullback(w: WitnessOperator, u):
     A ``u`` with a NaN or inf entry, or one that is not unitary, raises
     :class:`DomainError`.
     """
-    u = np.asarray(u, dtype=complex)
-    n = w.matrix.shape[0]
-    if u.shape != (n, n):
-        raise MatrixShapeError(f"unitary of shape {u.shape} does not match "
-                               f"witness dimension {n}")
-    uh = u.conj().T
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = uh @ u
-        g.ravel()[:: n + 1] -= 1  # ravel() is a view: g is fresh, C-ordered
-        dev = float(np.abs(g).max())
-    if not dev <= _UNITARY_TOL:  # NaN fails too
-        raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
-    return WitnessOperator(matrix=uh @ w.matrix @ u)
+    u = _require_unitary(u, w.matrix.shape[0])
+    return WitnessOperator(matrix=u.conj().T @ w.matrix @ u)
 
 
 def evaluate(s: WitnessOperator, rho: DensityMatrix):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import absfef
 from absfef import absolute, states, tripartite, witness
 from absfef.cli import main
-from absfef.fef import DEFAULT_RESTARTS, fef
+from absfef.fef import DEFAULT_RESTARTS, fef, fef_lower_bound
 from absfef.reproduce import FixtureResult, run_fixtures
 from helpers import ginibre_density
 
@@ -51,6 +51,41 @@ def test_analyze_json_deterministic(runner):
     assert doc["dims"] == [2, 2]
     assert doc["label"] in ("USEFUL", "ACTIVATABLE", "ABSOLUTE")
     assert "bloch" in doc and "absolutely_separable" in doc
+
+
+def _leaves(x):
+    """The scalars of a nested list, in order."""
+    return [v for item in x for v in _leaves(item)] if isinstance(x, list) else [x]
+
+
+def test_json_floats_read_back_bit_for_bit(runner):
+    res = runner.invoke(main, ["--json", "analyze", "--family", "x1"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    rho = states.x1()
+    report = absolute.classify(rho)
+    pairs = [(doc["spectrum"], rho.spectrum.eigenvalues),
+             (doc["lambda_max"], report.lambda_max),
+             (doc["fef"]["value"], report.fef_value),
+             (doc["fef"]["lower_bound"], fef_lower_bound(rho)),
+             *((doc["bloch"][k], v)
+               for k, v in absfef.bloch_extract(rho)._asdict().items())]
+    for got, want in pairs:
+        # repr is the shortest text of a double: equal reprs are equal bits,
+        # the sign of zero included, and an int 0 is no double 0.0
+        assert list(map(repr, _leaves(got))) == list(map(repr, _leaves(
+            np.asarray(want, dtype=float).tolist())))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_json_value_exit_3(runner, monkeypatch, bad):
+    classify = absolute.classify
+    monkeypatch.setattr(absolute, "classify", lambda *args, **kwargs:
+                        classify(*args, **kwargs)._replace(fef_value=bad))
+    res = runner.invoke(main, ["--json", "analyze", "--family", "x1"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
 
 
 def test_analyze_absolute_reports_unknown_k_copy(runner):

@@ -32,6 +32,12 @@ def test_eig_hermitian_rejects_non_square():
         eig_hermitian(np.ones((2, 3)))
 
 
+def test_eig_hermitian_rejects_empty():
+    with pytest.raises(MatrixShapeError,
+                       match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+        eig_hermitian(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eig_hermitian_rejects_non_finite_entries(bad):
     # eigh reads one triangle only, so a NaN above the diagonal went unseen

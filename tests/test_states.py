@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from absfef import states
-from absfef.errors import DomainError
+from absfef.errors import DomainError, MatrixShapeError
 from absfef.fef import canonical_ket, fef, fef_lower_bound
 from absfef.linalg import DensityMatrix, partial_trace
 from absfef.tripartite import ghzw_marginal, ghzw_state
@@ -243,3 +243,20 @@ def test_conjugate_preserves_spectrum():
     rot = states.conjugate(rho, u)
     assert np.linalg.eigvalsh(rot.matrix) == pytest.approx(
         np.linalg.eigvalsh(rho.matrix), abs=1e-12)
+
+
+def test_conjugate_refuses_a_non_unitary():
+    with pytest.raises(DomainError, match="not unitary"):
+        states.conjugate(states.comp_diag([1, 0, 0, 0]), np.diag([1, 0, 0, 0]))
+
+
+def test_conjugate_refuses_a_unitary_of_another_size():
+    with pytest.raises(MatrixShapeError, match="does not match dimension 4"):
+        states.conjugate(states.x1(), np.eye(9))
+
+
+def test_conjugate_refuses_a_non_finite_unitary():
+    u = np.array(states.fixture_unitary("U1"))
+    u[0, 1] = np.nan
+    with pytest.raises(DomainError, match="not unitary"):
+        states.conjugate(states.x1(), u)
