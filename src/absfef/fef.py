@@ -39,9 +39,10 @@ minima.  So any start that is not stationary ascends to the FEF, and a few
 restarts suffice.  Restart 0 starts at the ladder's X0 (below), not at
 the identity: the identity is the canonical-basis guess and can be
 stationary below the FEF (for |01><01|, G = 0 at U = I and the value stays
-0; x2(q < 1/3) stays at q).  X0 can be stationary too, and ``converged``
-compares the two best restarts, so d = 2 adds one Haar start.  d = 3 has no
-such theorem and does have local maxima, so it keeps many restarts.
+0; x2(q < 1/3) stays at q).  X0 can be stationary too, so d = 2 adds one
+Haar start; a restart that reaches the closed form stops the stack, and
+``converged`` compares the two best restarts only when none does.  d = 3
+has no such theorem and does have local maxima, so it keeps many restarts.
 
 Before any of this, ``fef`` climbs a ladder of certificates, whose bounds
 all come from one family.  Every maximally entangled state has marginals
@@ -53,8 +54,12 @@ Minimized over (Y, Z) this is exact at d = 2 and not exact for d >= 3
 (Landau and Streater, Linear Algebra Appl. 193, 1993), but any (Y, Z) gives
 a valid bound.  Complementary slackness at a point X gives Y and Z in closed
 form (see _dual_gap), one eigvalsh from a bound; it is tight at a
-nondegenerate maximum.  A bound within _EPS of the value at X proves that
-value within the ascent's own stopping gain of the maximum: _EPS is the one
+nondegenerate maximum.  At d = 2 the magic-basis closed form
+(fef_two_qubit_closed_form) is the FEF itself, so it takes the dual's place
+there: one real 4 x 4 eigvalsh, read once, that is tight wherever the
+closed-form Y, Z are not (x2(1/3 < q < 1/2), where Y (x) I + I (x) Z is a
+multiple of I).  A bound within _EPS of the value at X proves that value
+within the ascent's own stopping gain of the maximum: _EPS is the one
 threshold of every rung.  The maximally entangled vector nearest the top
 eigenvector v1 is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the
 Procrustes step once more; f0 = f(X0^T) <= FEF is Re(vec(X0)^dag y0)/d,
@@ -67,24 +72,29 @@ read off y0 = rho vec(X0).  Each rung runs only when the one before fails:
    eigenspace spanned by real magic-basis vectors, such as isotropic(2,
    beta < 0): the vector nearest v1 = a + ib is then real and in span(a,
    b), so it certifies.
-2. The dual at X0.  This certifies an X0 that is already the maximizer
-   below lambda_max: every pure state (FEF (sum_i s_i)^2/d for Schmidt
-   coefficients s_i, X0 its maximizer), x1, x2(q < 1/3) and
-   ghzw(1/2 <= p < 1).  The gap is the same for rho and for R (A and B
-   each move by lambda_min/2 I, which takes back the shift), so this rung
-   reads rho itself and R is built only when it fails and the ascent runs.
-   It reuses y0 as G = reshape(y0); B = herm(X0^dag G)^T/2 is one product,
-   and the slack subtracts one Kronecker-sum broadcast (see _dual_gap).
+2. The bound at X0: at d = 2 the closed form, read once, and at d = 3 the
+   dual at X0.  This certifies an X0 that is already the maximizer below
+   lambda_max: every pure state (FEF (sum_i s_i)^2/d for Schmidt
+   coefficients s_i, X0 its maximizer), x1, x2(q < 1/3),
+   ghzw(1/2 <= p < 1) and af_not_as_example.  The dual gap is the same for
+   rho and for R (A and B each move by lambda_min/2 I, which takes back the
+   shift), so this rung reads rho itself and R is built only when it fails
+   and the ascent runs.  It reuses y0 as G = reshape(y0); B = herm(X0^dag
+   G)^T/2 is one product, and the slack subtracts one Kronecker-sum
+   broadcast (see _dual_gap).
 3. The multistart: restart 0 starts at X0 and the others at Haar
    unitaries.  A restart that stops while it leads the stack and other
-   restarts are still live gets the dual bound at its point, and a gap of
-   at most _EPS stops the whole stack.  A restart whose momentum step gained
-   too little to go on may still be short of its maximum (the next plain
-   step can gain more), so a leader stopping after a momentum step is
-   confirmed by its dual gap: while that gap is open, its momentum is reset
-   and it takes a plain step.  Where the maximum is degenerate (x2 and y3
-   near q = 1/3) or the relaxation is loose, the gap stays open and the
-   ascent runs to the end.
+   restarts are still live is checked at its point, and a gap of at most
+   _EPS stops the whole stack: at d = 2 its gap to the closed form, at
+   d = 3 its dual gap.  A restart whose momentum step gained too little to
+   go on may still be short of its maximum (the next plain step can gain
+   more), so a leader stopping after a momentum step is confirmed by its
+   gap: while that gap is open, its momentum is reset and it takes a plain
+   step.  At d = 2 one last compare after the ascent certifies a best
+   restart that reached the closed form, and the closed form is the upper
+   bound whatever the ascent did.  At d = 3, where the maximum is
+   degenerate (y3 near q = 1/3) or the relaxation is loose, the gap stays
+   open and the ascent runs to the end.
 """
 
 import functools
@@ -233,7 +243,7 @@ def _dual_gap(m, x, y):
     return float(np.linalg.eigvalsh(slack.reshape(d * d, d * d))[-1])
 
 
-def _ascend(r_mat, x, certify=False):
+def _ascend(r_mat, x, certify=False, target=None):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -246,11 +256,14 @@ def _ascend(r_mat, x, certify=False):
 
     With ``certify``, the best stopping restart is checked if it leads (its
     value is within _EPS of the live maximum) and either other restarts are
-    still live or its step used momentum: its :func:`_dual_gap` is
-    evaluated unless a gap was already found open at a value within _EPS of
-    its own.  A gap of at most _EPS stops the whole stack.  A leader whose
-    momentum step gained no more than _EPS while its gap is open does not
-    stop: its momentum is reset and it takes a plain step next.
+    still live or its step used momentum: its gap is evaluated unless a gap
+    was already found open at a value within _EPS of its own.  The gap is
+    ``target`` less its value when ``target`` (an upper bound on v^dag R v,
+    the d = 2 closed form less lambda_min) is given, and its
+    :func:`_dual_gap` otherwise.  A gap of at most _EPS stops the whole
+    stack.  A leader whose momentum step gained no more than _EPS while its
+    gap is open does not stop: its momentum is reset and it takes a plain
+    step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
@@ -294,7 +307,8 @@ def _ascend(r_mat, x, certify=False):
                     and values[i] >= values.max() - _EPS):
                 if values[i] > checked + _EPS:  # a new leader value
                     checked = values[i]
-                    gap = _dual_gap(r_mat, x[i], y[i])
+                    gap = (_dual_gap(r_mat, x[i], y[i]) if target is None
+                           else target - values[i])
                     if gap <= _EPS:
                         out_x[live] = x
                         out_values[live] = values
@@ -320,8 +334,9 @@ class FefResult(NamedTuple):
 
     ``restarts_used`` is the restart count asked for, also when a
     certificate stopped the ascent early or made it unnecessary.
-    ``converged`` is True for a certified value and otherwise means the two
-    best restarts agree within 1e-6.
+    ``converged`` is True for a certified value (within _EPS of
+    ``upper_bound``) and otherwise means the two best restarts agree within
+    1e-6.
     """
 
     value: float
@@ -331,9 +346,10 @@ class FefResult(NamedTuple):
     #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when a
     #: certificate at X0 made the ascent unnecessary.
     iterations: int
-    #: Upper bound on the FEF, never below ``value``: the dual bound when it
-    #: certified the value, at X0 (a certificate at X0 made the ascent
-    #: unnecessary) or during the ascent; lambda_max otherwise.
+    #: Upper bound on the FEF, never below ``value``: lambda_max when it
+    #: certified X0; otherwise at d = 2 the magic-basis closed form, which is
+    #: the FEF itself, and at d = 3 the dual bound when it certified the
+    #: value, at X0 or during the ascent, and lambda_max when none did.
     upper_bound: float
 
 
@@ -350,11 +366,12 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
 
     Returns a :class:`FefResult`.  ``value`` is clipped to [canonical
     overlap, lambda_max]; when the clip lifts it to the overlap, the identity
-    is ``optimizer_unitary``.  ``upper_bound`` is the certifying dual bound
-    or lambda_max, never below ``value``; ``converged`` is True when a
-    certificate held and otherwise means the two best restarts agree within
-    1e-6; ``iterations`` is the step at which the last restart stopped, 0
-    when a certificate at X0 made the ascent unnecessary.
+    is ``optimizer_unitary``.  ``upper_bound`` is lambda_max when that
+    certifies X0 and otherwise the closed form at d = 2 and the certifying
+    dual bound or lambda_max at d = 3, never below ``value``; ``converged`` is True when a certificate held and otherwise
+    means the two best restarts agree within 1e-6; ``iterations`` is the
+    step at which the last restart stopped, 0 when a certificate at X0 made
+    the ascent unnecessary.
 
     Raises :class:`DomainError` for d outside {2, 3}, ``restarts`` that is
     not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
@@ -376,20 +393,28 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     f0 = float((v0.conj() @ y0).real) / d
     value, x, bound, converged, steps = f0, x0, lam_max, True, 0
     if lam_max - f0 > _EPS:
-        gap = _dual_gap(rho.matrix, v0, y0)
-        bound = f0 + gap
+        if d == 2:
+            bound = fef_two_qubit_closed_form(rho)
+            gap = bound - f0
+        else:
+            gap = _dual_gap(rho.matrix, v0, y0)
+            bound = f0 + gap
         if gap > _EPS:
             r_mat = rho.matrix - lam_min * _eye(d * d)
             starts = np.concatenate(
                 (v0[None], _haar_starts(d, restarts - 1, seed)))
-            xs, values, steps, cert = _ascend(r_mat, starts, certify=True)
-            if cert is None:
-                best, bound = int(np.argmax(values)), lam_max
+            xs, values, steps, cert = _ascend(
+                r_mat, starts, certify=True,
+                target=bound - lam_min if d == 2 else None)
+            best = int(np.argmax(values)) if cert is None else cert[0]
+            value, x = values[best] + lam_min, xs[best].reshape(d, d)
+            if d == 3:
+                bound = lam_max if cert is None else cert[1] + lam_min
+            # d = 2 keeps the closed form as its bound, and a best restart
+            # within _EPS of it is certified though no leader check caught it
+            if cert is None and (d == 3 or bound - value > _EPS):
                 top = np.sort(values)[::-1]
                 converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
-            else:
-                best, bound = cert[0], cert[1] + lam_min
-            value, x = values[best] + lam_min, xs[best].reshape(d, d)
     u = x.T
     value = min(value, lam_max)
     lower = fef_lower_bound(rho)
@@ -409,15 +434,18 @@ _MAGIC = np.array([
     [0, 0, 1j, -1],
     [1, -1j, 0, 0],
 ], dtype=complex) / np.sqrt(2)  # columns e1..e4 over |00>,|01>,|10>,|11>
+_MAGIC_H = _MAGIC.conj().T.copy()  # M^dag, built once rather than per call
+_MAGIC.flags.writeable = _MAGIC_H.flags.writeable = False
 
 
 def fef_two_qubit_closed_form(rho: DensityMatrix):
     """Closed-form two-qubit FEF: largest eigenvalue of Re(rho) in the magic basis.
 
-    Serves as the independent desk oracle for the d = 2 optimizer.
+    This is :func:`fef`'s d = 2 certificate: its upper bound, and the value
+    the ascent's restarts are checked against.
     """
     if rho.d != 2:
         raise DomainError(f"closed form needs a 2x2 bipartition, "
                           f"got {rho.d}x{rho.d}")
-    m = _MAGIC.conj().T @ rho.matrix @ _MAGIC
+    m = _MAGIC_H @ rho.matrix @ _MAGIC
     return float(np.linalg.eigvalsh(m.real)[-1])

@@ -66,6 +66,25 @@ def fef_objective(rho, u):
     return float(np.real(phi.conj() @ rho.matrix @ phi))
 
 
+# Magic basis e1..e4 as columns over |00>, |01>, |10>, |11>:
+# (|00>+|11>)/sqrt2, i(|00>-|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.
+# The maximally entangled two-qubit kets are exactly its real unit vectors,
+# up to a phase.
+_MAGIC = np.array([
+    [1, 1j, 0, 0],
+    [0, 0, 1j, 1],
+    [0, 0, 1j, -1],
+    [1, -1j, 0, 0],
+]) / math.sqrt(2)
+
+
+def fef_two_qubit_oracle(rho):
+    """Two-qubit FEF from the magic basis alone: lambda_max(Re(M^dag rho M))
+    (Badziag, Horodecki, Horodecki and Horodecki, PRA 62, 012311 (2000))."""
+    a = _MAGIC.conj().T @ rho.matrix @ _MAGIC
+    return float(np.linalg.eigvalsh(a.real)[-1])
+
+
 def product_operator(c, stacked):
     """sum_ij c_ij B_i (x) B_j over the (k, n, n) single-party basis ``stacked``."""
     n = stacked.shape[1]

@@ -13,10 +13,11 @@ import pytest
 
 from absfef import absolute, states, tripartite, witness
 from absfef.bases import GELLMANN
-from absfef.fef import canonical_ket, fef, fef_two_qubit_closed_form
+from absfef.fef import canonical_ket, fef
 from absfef.linalg import DensityMatrix, validate_density
 from absfef.reproduce import run_fixtures
-from helpers import absolute_state, capped_spectrum, ginibre_density, haar_unitary
+from helpers import (absolute_state, capped_spectrum, fef_two_qubit_oracle,
+                     ginibre_density, haar_unitary)
 
 
 def _report(n, desc, failures):
@@ -146,7 +147,7 @@ def test_criterion_04_closed_form_oracle_equivalence():
     for _ in range(1000):
         rho = validate_density(ginibre_density(rng, 4), 2, 2)
         delta = abs(fef(rho, restarts=4, seed=1).value
-                    - fef_two_qubit_closed_form(rho))
+                    - fef_two_qubit_oracle(rho))
         worst = max(worst, delta)
     _check(failures, worst <= 1e-6,
            f"optimizer vs closed form: max |delta| = {worst!r} > 1e-6")

@@ -7,13 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absfef import states
+from absfef.absolute import LABEL_ACTIVATABLE, classify
 from absfef.errors import DomainError
 from absfef.fef import (_EPS, _MAX_STEPS, DEFAULT_RESTARTS, MAX_RESTARTS,
                         _ascend, _dual_gap, _haar_starts, canonical_ket,
                         canonical_projector, fef, fef_lower_bound,
                         fef_two_qubit_closed_form)
 from absfef.linalg import validate_density
-from helpers import fef_objective, ginibre_density, haar_unitary
+from helpers import (fef_objective, fef_two_qubit_oracle, ginibre_density,
+                     haar_unitary)
 
 
 def _as_state(m, d):
@@ -145,11 +147,12 @@ def test_fef_certified_when_top_eigenvector_maximally_entangled(d, seed):
 
 
 def test_fef_ascent_path_unchanged(monkeypatch):
-    # States whose dual gap stays open fail every certificate.  Where no
-    # dual gap is evaluated inside the ascent, fef returns the plain ascent's
-    # result bit for bit; where a leader's momentum stop was sent on with a
-    # plain step, each restart only climbs further, so the value is never
-    # lower (up to the rounding of a plain step, which is always accepted).
+    # d = 3 states whose dual gap stays open fail every certificate.  Where
+    # no dual gap is evaluated inside the ascent, fef returns the plain
+    # ascent's result bit for bit; where a leader's momentum stop was sent on
+    # with a plain step, each restart only climbs further, so the value is
+    # never lower (up to the rounding of a plain step, which is always
+    # accepted).
     fefmod = sys.modules[fef.__module__]
     evaluated = []
 
@@ -163,9 +166,8 @@ def test_fef_ascent_path_unchanged(monkeypatch):
     rhos = [_as_state(ginibre_density(rng, 9, rank), 3)
             for rank in (1, 2, 3, 9) for _ in range(3)]
     # Y3(q), q < 1/2: |01> is the top eigenvector and FEF < lambda_max; the
-    # closed-form dual stays loose.  So does x2(q) for 1/3 < q < 1/2.
+    # closed-form dual stays loose.
     rhos += [states.y3(k / 40) for k in range(1, 20)]
-    rhos += [states.x2(k / 40) for k in range(14, 20)]
     identical = at_x0 = 0
     for rho in rhos:
         evaluated.clear()
@@ -187,12 +189,11 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         # The first gap is the dual at X0, which fef evaluates on rho itself
         # before the ascent; only the later ones are evaluated inside _ascend.
         assert evaluated and evaluated[0][0] is rho.matrix
-        if evaluated[1:]:
-            assert res.value >= value - 1e-14
-        else:
-            assert (res.value, res.iterations) == (value, steps)
-            assert np.array_equal(res.optimizer_unitary, unitary)
-            identical += 1
+        same = ((res.value, res.iterations) == (value, steps)
+                and np.array_equal(res.optimizer_unitary, unitary))
+        assert same or evaluated[1:]
+        assert res.value >= value - 1e-14
+        identical += same
     assert identical >= 4
     assert at_x0 >= 3  # the rank-1 states
     # Y3(q), q > 1/2: |psi+> is the top eigenvector, FEF = lambda_max = q.
@@ -200,6 +201,17 @@ def test_fef_ascent_path_unchanged(monkeypatch):
         res = fef(states.y3(k / 20))
         assert res.iterations == 0
         assert abs(res.value - k / 20) <= 1e-13
+    # x2(q), 1/3 < q < 1/2, where the dual stays loose too: d = 2 never
+    # evaluates it and is bounded by the magic-basis closed form instead
+    # (or by the value, where the clip lifts it one ulp above that).
+    for k in range(14, 20):
+        rho = states.x2(k / 40)
+        evaluated.clear()
+        res = fef(rho)
+        assert res.iterations >= 1
+        assert not evaluated
+        assert res.upper_bound == max(fef_two_qubit_closed_form(rho),
+                                      res.value)
 
 
 def _dual_gap_kron(m, x):
@@ -269,7 +281,8 @@ def test_fef_pure_state_certified_at_x0(d, seed):
 ])
 def test_fef_certified_by_the_dual_at_x0(monkeypatch, name, params):
     # X0 is already the maximizer here, below lambda_max: the lambda_max rung
-    # fails and the dual at X0 certifies, so no Haar start is drawn.
+    # fails and the second rung (at d = 2 the closed form) certifies, so no
+    # Haar start is drawn.
     monkeypatch.setattr(sys.modules[fef.__module__], "_haar_starts",
                         _no_haar_starts)
     rho = states.construct(name, **params)
@@ -277,14 +290,13 @@ def test_fef_certified_by_the_dual_at_x0(monkeypatch, name, params):
     assert (res.iterations, res.converged) == (0, True)
     assert res.value <= res.upper_bound <= res.value + _EPS
     assert res.upper_bound < rho.spectrum.lambda_max - 1e-3
-    assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-12
+    assert abs(res.value - fef_two_qubit_oracle(rho)) <= 1e-12
     assert abs(fef_objective(rho, res.optimizer_unitary) - res.value) <= 1e-15
 
 
 def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
-    # af_not_as_example's dual at X0 is loose: the Haar starts are drawn and
-    # the ascent returns the plain ascent's value and unitary bit for bit,
-    # FEF 1/4 at the identity, as before the dual rung existed.
+    # af_not_as_example's dual at X0 is loose, but at d = 2 the closed form
+    # certifies X0 itself: FEF exactly 1/4 and no Haar start drawn.
     calls = []
 
     def counted(*args):
@@ -294,11 +306,19 @@ def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
     monkeypatch.setattr(sys.modules[fef.__module__], "_haar_starts", counted)
     rho = states.af_not_as_example()
     res = fef(rho)
-    assert calls == [(2, DEFAULT_RESTARTS[2] - 1, 0)]
-    value, unitary, steps = _ascent_reference(rho, DEFAULT_RESTARTS[2])
-    assert (res.value, res.iterations) == (value, steps) == (0.25, 1)
+    assert calls == []
+    assert (res.value, res.upper_bound, res.iterations) == (0.25, 0.25, 0)
+    assert res.converged
+    # y3(0.05)'s dual at X0 is loose: the Haar starts are drawn and the
+    # ascent returns the plain ascent's value and unitary bit for bit, as
+    # before the dual rung existed.
+    rho = states.y3(0.05)
+    res = fef(rho)
+    assert calls == [(3, DEFAULT_RESTARTS[3] - 1, 0)]
+    value, unitary, steps = _ascent_reference(rho, DEFAULT_RESTARTS[3])
+    assert (res.value, res.iterations) == (value, steps)
+    assert steps >= 1
     assert res.optimizer_unitary.tobytes() == unitary.tobytes()
-    assert unitary.tobytes() == np.eye(2, dtype=complex).tobytes()
     assert res.upper_bound == rho.spectrum.lambda_max
 
 
@@ -320,7 +340,7 @@ def test_fef_isotropic_negative_beta(d):
             assert (res.iterations == 0) == (d == 2)
             assert abs(res.value - (1 - beta) / d**2) < 1e-10
             if d == 2:
-                assert abs(res.value - fef_two_qubit_closed_form(rho)) < 1e-10
+                assert abs(res.value - fef_two_qubit_oracle(rho)) < 1e-10
 
 
 def test_fef_iterations():
@@ -398,7 +418,7 @@ def test_fef_matches_closed_form_oracle():
     worst = 0.0
     for m in full + low + stationary:
         rho = _as_state(m, 2)
-        worst = max(worst, abs(fef(rho).value - fef_two_qubit_closed_form(rho)))
+        worst = max(worst, abs(fef(rho).value - fef_two_qubit_oracle(rho)))
     assert worst < 1e-10
 
 
@@ -430,7 +450,7 @@ def test_fef_d2_every_haar_restart_reaches_closed_form():
         lam_min = np.linalg.eigvalsh(rho.matrix)[0]
         _, values, _, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts)
         assert np.all(np.abs(values + lam_min
-                             - fef_two_qubit_closed_form(rho)) < 1e-6)
+                             - fef_two_qubit_oracle(rho)) < 1e-6)
 
 
 def test_fef_d2_default_restarts_cover_stationary_identity():
@@ -451,7 +471,7 @@ def test_fef_d2_default_restarts_cover_stationary_identity():
         rho = states.x2(q)
         for restarts in (None, 1):
             res = fef(rho, restarts=restarts)
-            assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-10
+            assert abs(res.value - fef_two_qubit_oracle(rho)) <= 1e-10
             assert res.converged
 
 
@@ -464,9 +484,9 @@ def test_fef_d2_matches_closed_form_property(rank, seed):
     # almost surely does not make it; the Haar guard covers that case at the
     # default restarts.  In the pinned example a momentum step of X0 gains
     # 6.4e-12 and the next step would gain 1.2e-10: stopping there left
-    # restarts=1 1.27e-10 short, and the open dual gap now sends it on.
+    # restarts=1 1.27e-10 short, and the open gap now sends it on.
     rho = _as_state(ginibre_density(np.random.default_rng(seed), 4, rank), 2)
-    exact = fef_two_qubit_closed_form(rho)
+    exact = fef_two_qubit_oracle(rho)
     for restarts in (None, 1):
         assert abs(fef(rho, restarts=restarts).value - exact) <= 1e-10
 
@@ -481,13 +501,13 @@ def test_fef_upper_bound_brackets_value(d, rank, seed):
     assert res.value <= res.upper_bound <= max(rho.spectrum.lambda_max,
                                                res.value)
     if d == 2:
-        # The dual bound is an upper bound on the exact FEF.
-        assert res.upper_bound >= fef_two_qubit_closed_form(rho) - 1e-14
+        # The bound is an upper bound on the exact FEF.
+        assert res.upper_bound >= fef_two_qubit_oracle(rho) - 1e-14
 
 
 def test_fef_dual_certificate_d2():
     # A certified value (upper_bound within _EPS of it) is within _EPS of
-    # the exact FEF; the dual certifies most ascended states.
+    # the exact FEF; the closed form certifies most ascended states.
     rng = np.random.default_rng(41)
     by_dual = 0
     for rank in (1, 2, 3, 4):
@@ -497,9 +517,41 @@ def test_fef_dual_certificate_d2():
             if res.upper_bound - res.value > _EPS:
                 continue
             assert res.converged
-            assert abs(res.value - fef_two_qubit_closed_form(rho)) <= 1e-11
+            assert abs(res.value - fef_two_qubit_oracle(rho)) <= 1e-11
             by_dual += res.upper_bound < rho.spectrum.lambda_max
     assert by_dual >= 80
+
+
+def test_fef_d2_certified_where_the_dual_stays_loose(monkeypatch):
+    # The dual's closed-form Y, Z leave the gap open on x2(1/3 < q < 1/2)
+    # (where Y (x) I + I (x) Z is a multiple of I) and on ghzw(0.41..0.45);
+    # the magic-basis closed form bounds them instead, and d = 2 never
+    # evaluates the dual.
+    def no_dual_gap(*args):
+        raise AssertionError("_dual_gap evaluated at d = 2")
+
+    monkeypatch.setattr(sys.modules[fef.__module__], "_dual_gap", no_dual_gap)
+    for k in range(14, 20):
+        rho = states.x2(k / 40)
+        res = fef(rho)
+        assert res.converged
+        assert res.upper_bound - res.value <= _EPS
+        assert res.upper_bound < rho.spectrum.lambda_max - 1e-3
+    for p in (0.41, 0.42, 0.43, 0.44, 0.45):
+        res = fef(states.construct("ghzw", p=p))
+        assert res.converged
+        assert res.upper_bound - res.value <= _EPS
+    # Every ACTIVATABLE x2 point on the 0.05 grid now has a certified
+    # upper bound at most 1/2.
+    for k in range(1, 10):
+        rho = states.x2(k / 20)
+        assert classify(rho).label == LABEL_ACTIVATABLE
+        assert fef(rho).upper_bound <= 0.5
+    # Nor on random states, which ascend from X0 and Haar starts.
+    rng = np.random.default_rng(43)
+    for rank in (1, 2, 3, 4):
+        for _ in range(5):
+            fef(_as_state(ginibre_density(rng, 4, rank), 2), restarts=3)
 
 
 def test_fef_dual_certificate_d3_matches_full_stack():
@@ -536,11 +588,21 @@ def test_fef_local_unitary_invariance_d2():
     rng = np.random.default_rng(15)
     for _ in range(20):
         rho = _as_state(ginibre_density(rng, 4), 2)
-        base = fef_two_qubit_closed_form(rho)
+        base = fef_two_qubit_oracle(rho)
         ua = haar_unitary(rng, 2)
         ub = haar_unitary(rng, 2)
         rot = states.conjugate(rho, np.kron(ua, ub))
         assert fef_two_qubit_closed_form(rot) == pytest.approx(base, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_matches_oracle(rank, seed):
+    # fef certifies every d = 2 value with the library's closed form, so it
+    # is checked here against the test suite's own magic-basis copy.
+    rho = _as_state(ginibre_density(np.random.default_rng(seed), 4, rank), 2)
+    assert abs(fef_two_qubit_closed_form(rho)
+               - fef_two_qubit_oracle(rho)) <= 1e-15
 
 
 def test_fef_local_unitary_invariance_d3():
