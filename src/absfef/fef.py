@@ -40,9 +40,9 @@ restarts suffice.  Restart 0 starts at the ladder's X0 (below), not at
 the identity: the identity is the canonical-basis guess and can be
 stationary below the FEF (for |01><01|, G = 0 at U = I and the value stays
 0; x2(q < 1/3) stays at q).  X0 can be stationary too, so d = 2 adds one
-Haar start; a restart that reaches the closed form stops the stack, and
-``converged`` compares the two best restarts only when none does.  d = 3
-has no such theorem and does have local maxima, so it keeps many restarts.
+Haar start, and a restart that reaches the closed form stops the stack.
+d = 3 has no such theorem and does have local maxima, so it keeps many
+restarts.
 
 Before any of this, ``fef`` climbs a ladder of certificates, whose bounds
 all come from one family.  Every maximally entangled state has marginals
@@ -83,18 +83,21 @@ read off y0 = rho vec(X0).  Each rung runs only when the one before fails:
    G)^T/2 is one product, and the slack subtracts one Kronecker-sum
    broadcast (see _dual_gap).
 3. The multistart: restart 0 starts at X0 and the others at Haar
-   unitaries.  A restart that stops while it leads the stack and other
-   restarts are still live is checked at its point, and a gap of at most
-   _EPS stops the whole stack: at d = 2 its gap to the closed form, at
-   d = 3 its dual gap.  A restart whose momentum step gained too little to
-   go on may still be short of its maximum (the next plain step can gain
-   more), so a leader stopping after a momentum step is confirmed by its
-   gap: while that gap is open, its momentum is reset and it takes a plain
-   step.  At d = 2 one last compare after the ascent certifies a best
-   restart that reached the closed form, and the closed form is the upper
-   bound whatever the ascent did.  At d = 3, where the maximum is
-   degenerate (y3 near q = 1/3) or the relaxation is loose, the gap stays
-   open and the ascent runs to the end.
+   unitaries.  A restart that stops while it leads the stack is checked at
+   its point, and a gap of at most _EPS stops the whole stack: at d = 2 its
+   gap to the closed form, at d = 3 its dual gap.  A restart whose momentum
+   step gained too little to go on may still be short of its maximum (the
+   next plain step can gain more), so while a stopping leader's gap is open
+   its momentum is reset and it takes a plain step.  At d = 2 the closed
+   form is the FEF itself, so an open gap also sends on a leader whose
+   plain step gained anything; one that gained nothing is stationary (a
+   saddle) and stops.  The closed form is the d = 2 upper bound whatever
+   the ascent did.  At d = 3, where the maximum is degenerate (y3 near
+   q = 1/3) or the relaxation is loose, the gap stays open and the ascent
+   runs to the end, with lambda_max as the bound.
+
+A result is ``converged`` exactly when its certificate holds: its upper
+bound is within _EPS of its value, at every d and every rung.
 """
 
 import functools
@@ -109,8 +112,8 @@ from .linalg import DensityMatrix, _as_int, _local_dim, as_dim
 
 #: Default restart counts per local dimension: the ladder's X0 plus Haar
 #: starts.  d = 2 has no spurious local maxima (module docstring), so one Haar
-#: start backs up an X0 that happens to be stationary and gives ``converged``
-#: a second ascended restart; d = 3 has local maxima and needs many more.
+#: start backs up an X0 that happens to be stationary; d = 3 has local maxima
+#: and needs many more.
 DEFAULT_RESTARTS = {2: 2, 3: 60}
 #: Largest accepted restart count; all restarts are held in memory at once.
 MAX_RESTARTS = 10_000
@@ -255,15 +258,14 @@ def _ascend(r_mat, x, certify=False, target=None):
     step gains no more than _EPS.
 
     With ``certify``, the best stopping restart is checked if it leads (its
-    value is within _EPS of the live maximum) and either other restarts are
-    still live or its step used momentum: its gap is evaluated unless a gap
-    was already found open at a value within _EPS of its own.  The gap is
-    ``target`` less its value when ``target`` (an upper bound on v^dag R v,
-    the d = 2 closed form less lambda_min) is given, and its
+    value is within _EPS of the live maximum): its gap is evaluated unless a
+    gap was already found open at a value within _EPS of its own.  The gap
+    is ``target`` less its value when ``target`` (the d = 2 closed form less
+    lambda_min, the maximum of v^dag R v) is given, and its
     :func:`_dual_gap` otherwise.  A gap of at most _EPS stops the whole
-    stack.  A leader whose momentum step gained no more than _EPS while its
-    gap is open does not stop: its momentum is reset and it takes a plain
-    step next.
+    stack.  While its gap is open, a leader does not stop after a momentum
+    step, nor, given ``target``, after a step that gained anything: its
+    momentum is reset and it takes a plain step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
@@ -302,9 +304,7 @@ def _ascend(r_mat, x, certify=False, target=None):
             continue
         if certify:
             i = int(np.argmax(np.where(done, values, -np.inf)))
-            momentum = k[i] > 1  # its accepted step used momentum
-            if ((momentum or not done.all())
-                    and values[i] >= values.max() - _EPS):
+            if values[i] >= values.max() - _EPS:
                 if values[i] > checked + _EPS:  # a new leader value
                     checked = values[i]
                     gap = (_dual_gap(r_mat, x[i], y[i]) if target is None
@@ -314,7 +314,10 @@ def _ascend(r_mat, x, certify=False, target=None):
                         out_values[live] = values
                         return (out_x, out_values, step,
                                 (int(live[i]), values[i] + gap))
-                if momentum and step < _MAX_STEPS:
+                # its gap is open: a momentum step, or at d = 2 any step
+                # that gained, may stop short of the maximum
+                if ((k[i] > 1 or target is not None and gain[i] > 0)
+                        and step < _MAX_STEPS):
                     done[i] = False
                     k[i] = 0
                     if not done.any():
@@ -334,9 +337,8 @@ class FefResult(NamedTuple):
 
     ``restarts_used`` is the restart count asked for, also when a
     certificate stopped the ascent early or made it unnecessary.
-    ``converged`` is True for a certified value (within _EPS of
-    ``upper_bound``) and otherwise means the two best restarts agree within
-    1e-6.
+    ``converged`` is ``upper_bound - value <= _EPS``: the value is
+    certified.
     """
 
     value: float
@@ -368,10 +370,10 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     overlap, lambda_max]; when the clip lifts it to the overlap, the identity
     is ``optimizer_unitary``.  ``upper_bound`` is lambda_max when that
     certifies X0 and otherwise the closed form at d = 2 and the certifying
-    dual bound or lambda_max at d = 3, never below ``value``; ``converged`` is True when a certificate held and otherwise
-    means the two best restarts agree within 1e-6; ``iterations`` is the
-    step at which the last restart stopped, 0 when a certificate at X0 made
-    the ascent unnecessary.
+    dual bound or lambda_max at d = 3, never below ``value``; ``converged``
+    is ``upper_bound - value <= _EPS``; ``iterations`` is the step at which
+    the last restart stopped, 0 when a certificate at X0 made the ascent
+    unnecessary.
 
     Raises :class:`DomainError` for d outside {2, 3}, ``restarts`` that is
     not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
@@ -391,7 +393,7 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     v0 = x0.ravel()
     y0 = rho.matrix @ v0
     f0 = float((v0.conj() @ y0).real) / d
-    value, x, bound, converged, steps = f0, x0, lam_max, True, 0
+    value, x, bound, steps = f0, x0, lam_max, 0
     if lam_max - f0 > _EPS:
         if d == 2:
             bound = fef_two_qubit_closed_form(rho)
@@ -410,20 +412,15 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
             value, x = values[best] + lam_min, xs[best].reshape(d, d)
             if d == 3:
                 bound = lam_max if cert is None else cert[1] + lam_min
-            # d = 2 keeps the closed form as its bound, and a best restart
-            # within _EPS of it is certified though no leader check caught it
-            if cert is None and (d == 3 or bound - value > _EPS):
-                top = np.sort(values)[::-1]
-                converged = bool(restarts == 1 or (top[0] - top[1]) <= 1e-6)
     u = x.T
-    value = min(value, lam_max)
+    value = float(min(value, lam_max))
     lower = fef_lower_bound(rho)
     if value < lower:  # the overlap wins the clip; U = I attains it
         value, u = lower, np.eye(d, dtype=complex)
-    return FefResult(value=float(value), optimizer_unitary=u,
-                     restarts_used=restarts, converged=converged,
-                     iterations=steps,
-                     upper_bound=float(max(min(bound, lam_max), value)))
+    bound = float(max(min(bound, lam_max), value))
+    return FefResult(value=value, optimizer_unitary=u,
+                     restarts_used=restarts, converged=bound - value <= _EPS,
+                     iterations=steps, upper_bound=bound)
 
 
 # Magic basis: phase-adjusted Bell states; maximally entangled two-qubit

@@ -475,20 +475,49 @@ def test_fef_d2_default_restarts_cover_stationary_identity():
             assert res.converged
 
 
+@pytest.mark.parametrize("weights, exact", [
+    ((0.5, 0.4, 0.1), 0.4), ((0.6, 0.4, 0.0), 0.4), ((0.45, 0.35, 0.2), 0.35),
+])
+def test_fef_d2_stationary_x0_is_not_converged(weights, exact):
+    # rho = a|11><11| + b|Psi+><Psi+| + c|00><00| with a > b > c has X0 =
+    # diag(e^{i phi}, 1), and R vec(X0) = vec(diag(c e^{i phi}, a)), whose
+    # polar factor is X0 again: X0 is a saddle at (a + c)/2 < b = FEF.  Alone
+    # it gains nothing, stops at once and is reported unconverged; the Haar
+    # start of the default restarts reaches the closed form and certifies.
+    ket = np.eye(4)
+    psi = (ket[1] + ket[2]) / math.sqrt(2)
+    a, b, c = weights
+    rho = _as_state(a * np.outer(ket[3], ket[3]) + b * np.outer(psi, psi)
+                    + c * np.outer(ket[0], ket[0]), 2)
+    res = fef(rho, restarts=1)
+    assert res.upper_bound == pytest.approx(exact, abs=1e-15)
+    assert res.value == pytest.approx((a + c) / 2, abs=1e-15)
+    assert not res.converged
+    assert res.iterations <= 3
+    res = fef(rho)
+    assert res.converged
+    assert res.upper_bound - res.value <= _EPS
+    assert abs(res.value - exact) <= _EPS
+
+
 @settings(max_examples=60, deadline=None)
 @given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 @example(rank=3, seed=2**32 - 1)
+@example(rank=3, seed=15659107)
 def test_fef_d2_matches_closed_form_property(rank, seed):
     # The Rayleigh-quotient landscape has no spurious local maximum, so X0
     # alone reaches the FEF unless it is stationary, which a random state
     # almost surely does not make it; the Haar guard covers that case at the
-    # default restarts.  In the pinned example a momentum step of X0 gains
-    # 6.4e-12 and the next step would gain 1.2e-10: stopping there left
-    # restarts=1 1.27e-10 short, and the open gap now sends it on.
+    # default restarts.  In the first pinned example a momentum step of X0
+    # gains 6.4e-12 and the next step would gain 1.2e-10; in the second a
+    # plain step gains too little and restarts=1 stopped 4.0e-10 short.  A
+    # leader whose gap to the closed form is open now goes on after either.
     rho = _as_state(ginibre_density(np.random.default_rng(seed), 4, rank), 2)
     exact = fef_two_qubit_oracle(rho)
     for restarts in (None, 1):
-        assert abs(fef(rho, restarts=restarts).value - exact) <= 1e-10
+        res = fef(rho, restarts=restarts)
+        assert abs(res.value - exact) <= 1e-10
+        assert res.converged
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,22 +529,24 @@ def test_fef_upper_bound_brackets_value(d, rank, seed):
     res = fef(rho)
     assert res.value <= res.upper_bound <= max(rho.spectrum.lambda_max,
                                                res.value)
+    # converged has one meaning at every d: the certificate holds.
+    assert res.converged == (res.upper_bound - res.value <= _EPS)
     if d == 2:
         # The bound is an upper bound on the exact FEF.
         assert res.upper_bound >= fef_two_qubit_oracle(rho) - 1e-14
 
 
 def test_fef_dual_certificate_d2():
-    # A certified value (upper_bound within _EPS of it) is within _EPS of
-    # the exact FEF; the closed form certifies most ascended states.
+    # Every d = 2 value is certified (upper_bound within _EPS of it) and
+    # so within _EPS of the exact FEF; the closed form certifies most
+    # ascended states.
     rng = np.random.default_rng(41)
     by_dual = 0
     for rank in (1, 2, 3, 4):
         for _ in range(25):
             rho = _as_state(ginibre_density(rng, 4, rank), 2)
             res = fef(rho)
-            if res.upper_bound - res.value > _EPS:
-                continue
+            assert res.upper_bound - res.value <= _EPS
             assert res.converged
             assert abs(res.value - fef_two_qubit_oracle(rho)) <= 1e-11
             by_dual += res.upper_bound < rho.spectrum.lambda_max
