@@ -75,7 +75,7 @@ def activating_unitary(rho: DensityMatrix):
 
 
 def is_absolutely_separable_2q(rho: DensityMatrix):
-    """Two-qubit absolute separability from the cached spectrum.
+    """Two-qubit absolute separability from the validated spectrum.
 
     The criterion is lambda_1 <= lambda_3 + 2 sqrt(lambda_2 lambda_4) on the
     descending eigenvalues of the validated 2 (x) 2 state (Verstraete,

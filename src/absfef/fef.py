@@ -44,9 +44,13 @@ Haar start, and a restart that reaches the closed form stops the stack.
 d = 3 has no such theorem and does have local maxima, so it keeps many
 restarts.
 
-Before any of this, ``fef`` climbs a ladder of certificates, whose bounds
-all come from one family.  Every maximally entangled state has marginals
-I/d, so for any Hermitian Y and Z,
+Before any of this, ``fef`` climbs a ladder of certificates.  It holds one
+upper bound on the FEF, which starts at lambda_max and which each rung can
+only lower, and one test: a bound within _EPS of a value proves that value
+within the ascent's own stopping gain of the maximum, so _EPS is the one
+threshold of every rung.  The test certifies X0, stops the ascent and
+makes a result ``converged``.  The bounds all come from one family.  Every
+maximally entangled state has marginals I/d, so for any Hermitian Y and Z,
 
     FEF <= (Tr Y + Tr Z)/d + lambda_max(rho - Y (x) I - I (x) Z).
 
@@ -58,12 +62,10 @@ nondegenerate maximum.  At d = 2 the magic-basis closed form
 (fef_two_qubit_closed_form) is the FEF itself, so it takes the dual's place
 there: one real 4 x 4 eigvalsh, read once, that is tight wherever the
 closed-form Y, Z are not (x2(1/3 < q < 1/2), where Y (x) I + I (x) Z is a
-multiple of I).  A bound within _EPS of the value at X proves that value
-within the ascent's own stopping gain of the maximum: _EPS is the one
-threshold of every rung.  The maximally entangled vector nearest the top
+multiple of I).  The maximally entangled vector nearest the top
 eigenvector v1 is vec(X0)/sqrt(d) with X0 = polar(reshape(v1)), the
 Procrustes step once more; f0 = f(X0^T) <= FEF is Re(vec(X0)^dag y0)/d,
-read off y0 = rho vec(X0).  Each rung runs only when the one before fails:
+read off y0 = rho vec(X0).  Each rung runs only while the test fails:
 
 1. lambda_max at X0, the Y = Z = 0 bound.  f <= lambda_max, with equality
    exactly when a maximally entangled vector lies in the top eigenspace.  A
@@ -76,28 +78,28 @@ read off y0 = rho vec(X0).  Each rung runs only when the one before fails:
    dual at X0.  This certifies an X0 that is already the maximizer below
    lambda_max: every pure state (FEF (sum_i s_i)^2/d for Schmidt
    coefficients s_i, X0 its maximizer), x1, x2(q < 1/3),
-   ghzw(1/2 <= p < 1) and af_not_as_example.  The dual gap is the same for
-   rho and for R (A and B each move by lambda_min/2 I, which takes back the
-   shift), so this rung reads rho itself and R is built only when it fails
-   and the ascent runs.  It reuses y0 as G = reshape(y0); B = herm(X0^dag
-   G)^T/2 is one product, and the slack subtracts one Kronecker-sum
-   broadcast (see _dual_gap).
+   ghzw(1/2 <= p < 1) and af_not_as_example.  A loose dual still lowers
+   the bound: on y3(q <= 0.225) it proves FEF < 1/3.  The dual gap is the
+   same for rho and for R (A and B each move by lambda_min/2 I, which takes
+   back the shift), so this rung reads rho itself and R is built only when
+   it fails and the ascent runs.  It reuses y0 as G = reshape(y0); B =
+   herm(X0^dag G)^T/2 is one product, and the slack subtracts one
+   Kronecker-sum broadcast (see _dual_gap).
 3. The multistart: restart 0 starts at X0 and the others at Haar
    unitaries.  A restart that stops while it leads the stack is checked at
-   its point, and a gap of at most _EPS stops the whole stack: at d = 2 its
-   gap to the closed form, at d = 3 its dual gap.  A restart whose momentum
-   step gained too little to go on may still be short of its maximum (the
-   next plain step can gain more), so while a stopping leader's gap is open
-   its momentum is reset and it takes a plain step.  At d = 2 the closed
-   form is the FEF itself, so an open gap also sends on a leader whose
-   plain step gained anything; one that gained nothing is stationary (a
-   saddle) and stops.  The closed form is the d = 2 upper bound whatever
-   the ascent did.  At d = 3, where the maximum is degenerate (y3 near
-   q = 1/3) or the relaxation is loose, the gap stays open and the ascent
-   runs to the end, with lambda_max as the bound.
+   its point: at d = 3 its dual bound lowers the bound, and the test on the
+   bound stops the whole stack.  A restart whose momentum step gained too
+   little to go on may still be short of its maximum (the next plain step
+   can gain more), so while a stopping leader's gap is open its momentum is
+   reset and it takes a plain step.  At d = 2 the closed form is the FEF
+   itself, so an open gap also sends on a leader whose plain step gained
+   anything; one that gained nothing is stationary (a saddle) and stops.
+   At d = 3, where the maximum is degenerate (y3 near q = 1/3) or the
+   relaxation is loose, the gap stays open and the ascent runs to the end,
+   with the lowest bound any rung proved.
 
-A result is ``converged`` exactly when its certificate holds: its upper
-bound is within _EPS of its value, at every d and every rung.
+A result is ``converged`` exactly when the test holds for its value and
+its upper bound, at every d and every rung.
 """
 
 import functools
@@ -246,7 +248,7 @@ def _dual_gap(m, x, y):
     return float(np.linalg.eigvalsh(slack.reshape(d * d, d * d))[-1])
 
 
-def _ascend(r_mat, x, certify=False, target=None):
+def _ascend(r_mat, x, bound=None, dual=False):
     """Accelerated polar ascent of v^dag R v, v = x/sqrt(d), for each row of x.
 
     ``x`` is a (restarts, d*d) stack of rows vec(X), X = U^T, and R >= 0.
@@ -257,20 +259,21 @@ def _ascend(r_mat, x, certify=False, target=None):
     the value, so it is always accepted.  A restart stops once its accepted
     step gains no more than _EPS.
 
-    With ``certify``, the best stopping restart is checked if it leads (its
-    value is within _EPS of the live maximum): its gap is evaluated unless a
-    gap was already found open at a value within _EPS of its own.  The gap
-    is ``target`` less its value when ``target`` (the d = 2 closed form less
-    lambda_min, the maximum of v^dag R v) is given, and its
-    :func:`_dual_gap` otherwise.  A gap of at most _EPS stops the whole
-    stack.  While its gap is open, a leader does not stop after a momentum
-    step, nor, given ``target``, after a step that gained anything: its
-    momentum is reset and it takes a plain step next.
+    ``bound`` is an upper bound on v^dag R v; None runs the plain ascent with
+    no certificate.  Given one, the best stopping restart is checked if it
+    leads (its value is within _EPS of the live maximum), unless a leader was
+    already checked at a value within _EPS of its own.  With ``dual``, the
+    check first lowers ``bound`` to the leader's value plus its
+    :func:`_dual_gap`.  ``bound`` less the leader's value of at most _EPS
+    stops the whole stack.  While that gap is open, a leader does not stop
+    after a momentum step, nor, without ``dual`` (where ``bound`` is the
+    exact maximum), after a step that gained anything: its momentum is reset
+    and it takes a plain step next.
 
     Returns the final rows (a row still live when the stack stops keeps its
     current point), their values, the step at which the last restart
-    stopped, and (row, dual bound on v^dag R v) for the certified row or
-    None.
+    stopped, the best row (the certified leader, else the highest value) and
+    the lowered bound, None when no leader lowered it.
     """
     n, dd = x.shape
     d = math.isqrt(dd)
@@ -280,6 +283,7 @@ def _ascend(r_mat, x, certify=False, target=None):
     y_prev = y
     k = np.zeros(n)
     checked = -np.inf  # the last leader value whose gap was found open
+    lowered = None
     live = np.arange(n)
     out_x = np.empty((n, dd), dtype=complex)
     out_values = np.empty(n)
@@ -302,21 +306,22 @@ def _ascend(r_mat, x, certify=False, target=None):
         done = (accept & (gain <= _EPS)) | (step == _MAX_STEPS)
         if not done.any():
             continue
-        if certify:
+        if bound is not None:
             i = int(np.argmax(np.where(done, values, -np.inf)))
             if values[i] >= values.max() - _EPS:
                 if values[i] > checked + _EPS:  # a new leader value
                     checked = values[i]
-                    gap = (_dual_gap(r_mat, x[i], y[i]) if target is None
-                           else target - values[i])
-                    if gap <= _EPS:
+                    if dual:
+                        top = values[i] + _dual_gap(r_mat, x[i], y[i])
+                        if top < bound:
+                            bound = lowered = top
+                    if bound - values[i] <= _EPS:
                         out_x[live] = x
                         out_values[live] = values
-                        return (out_x, out_values, step,
-                                (int(live[i]), values[i] + gap))
-                # its gap is open: a momentum step, or at d = 2 any step
-                # that gained, may stop short of the maximum
-                if ((k[i] > 1 or target is not None and gain[i] > 0)
+                        return out_x, out_values, step, int(live[i]), lowered
+                # its gap is open: a momentum step, or below the exact
+                # maximum any step that gained, may stop short of it
+                if ((k[i] > 1 or not dual and gain[i] > 0)
                         and step < _MAX_STEPS):
                     done[i] = False
                     k[i] = 0
@@ -329,7 +334,7 @@ def _ascend(r_mat, x, certify=False, target=None):
             break
         x, y, y_prev, values, k, live = (
             x[keep], y[keep], y_prev[keep], values[keep], k[keep], live[keep])
-    return out_x, out_values, step, None
+    return out_x, out_values, step, int(np.argmax(out_values)), lowered
 
 
 class FefResult(NamedTuple):
@@ -348,10 +353,10 @@ class FefResult(NamedTuple):
     #: Step at which the last restart stopped, in [0, _MAX_STEPS]; 0 when a
     #: certificate at X0 made the ascent unnecessary.
     iterations: int
-    #: Upper bound on the FEF, never below ``value``: lambda_max when it
-    #: certified X0; otherwise at d = 2 the magic-basis closed form, which is
-    #: the FEF itself, and at d = 3 the dual bound when it certified the
-    #: value, at X0 or during the ascent, and lambda_max when none did.
+    #: Upper bound on the FEF, never below ``value``: the lowest bound the
+    #: certificate ladder proved, starting from lambda_max.  Past X0's
+    #: lambda_max rung it is at d = 2 the magic-basis closed form, the FEF
+    #: itself, and at d = 3 the least dual bound at X0 and the leaders.
     upper_bound: float
 
 
@@ -368,12 +373,10 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
 
     Returns a :class:`FefResult`.  ``value`` is clipped to [canonical
     overlap, lambda_max]; when the clip lifts it to the overlap, the identity
-    is ``optimizer_unitary``.  ``upper_bound`` is lambda_max when that
-    certifies X0 and otherwise the closed form at d = 2 and the certifying
-    dual bound or lambda_max at d = 3, never below ``value``; ``converged``
-    is ``upper_bound - value <= _EPS``; ``iterations`` is the step at which
-    the last restart stopped, 0 when a certificate at X0 made the ascent
-    unnecessary.
+    is ``optimizer_unitary``.  ``upper_bound`` is the lowest bound the
+    ladder proved, never below ``value``; ``converged`` is ``upper_bound -
+    value <= _EPS``; ``iterations`` is the step at which the last restart
+    stopped, 0 when a certificate at X0 made the ascent unnecessary.
 
     Raises :class:`DomainError` for d outside {2, 3}, ``restarts`` that is
     not an integer in [1, MAX_RESTARTS] or a ``seed`` that is not an integer
@@ -394,30 +397,24 @@ def fef(rho: DensityMatrix, restarts=None, seed=0):
     y0 = rho.matrix @ v0
     f0 = float((v0.conj() @ y0).real) / d
     value, x, bound, steps = f0, x0, lam_max, 0
-    if lam_max - f0 > _EPS:
-        if d == 2:
-            bound = fef_two_qubit_closed_form(rho)
-            gap = bound - f0
-        else:
-            gap = _dual_gap(rho.matrix, v0, y0)
-            bound = f0 + gap
-        if gap > _EPS:
-            r_mat = rho.matrix - lam_min * _eye(d * d)
-            starts = np.concatenate(
-                (v0[None], _haar_starts(d, restarts - 1, seed)))
-            xs, values, steps, cert = _ascend(
-                r_mat, starts, certify=True,
-                target=bound - lam_min if d == 2 else None)
-            best = int(np.argmax(values)) if cert is None else cert[0]
-            value, x = values[best] + lam_min, xs[best].reshape(d, d)
-            if d == 3:
-                bound = lam_max if cert is None else cert[1] + lam_min
+    if bound - value > _EPS:
+        bound = min(bound, fef_two_qubit_closed_form(rho) if d == 2
+                    else f0 + _dual_gap(rho.matrix, v0, y0))
+    if bound - value > _EPS:
+        r_mat = rho.matrix - lam_min * _eye(d * d)
+        starts = np.concatenate(
+            (v0[None], _haar_starts(d, restarts - 1, seed)))
+        xs, values, steps, best, lowered = _ascend(
+            r_mat, starts, bound - lam_min, dual=d == 3)
+        value, x = values[best] + lam_min, xs[best].reshape(d, d)
+        if lowered is not None:
+            bound = min(bound, lowered + lam_min)
     u = x.T
     value = float(min(value, lam_max))
     lower = fef_lower_bound(rho)
     if value < lower:  # the overlap wins the clip; U = I attains it
         value, u = lower, np.eye(d, dtype=complex)
-    bound = float(max(min(bound, lam_max), value))
+    bound = float(max(bound, value))
     return FefResult(value=value, optimizer_unitary=u,
                      restarts_used=restarts, converged=bound - value <= _EPS,
                      iterations=steps, upper_bound=bound)

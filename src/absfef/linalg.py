@@ -9,7 +9,6 @@ correctly.
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -163,7 +162,7 @@ def partial_trace(m, dims, drop):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated d (x) d density matrix.
+    """A validated d (x) d density matrix and its spectrum.
 
     Use :func:`validate_density` to construct one; the constructor itself
     performs no checks.
@@ -171,17 +170,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     d: int
-
-    @cached_property
-    def spectrum(self):
-        """Descending :class:`Spectrum` of ``matrix``, computed once (read-only).
-
-        ``matrix`` is Hermitian by construction, so it is not scanned again.
-        """
-        spec = _eigh_descending(self.matrix)
-        spec.eigenvalues.setflags(write=False)
-        spec.eigenvectors.setflags(write=False)
-        return spec
+    #: Descending, read-only :class:`Spectrum` of ``matrix``, the one that
+    #: validation computed for its positivity check.
+    spectrum: Spectrum
 
     def purity(self):
         """Tr(rho^2)."""
@@ -197,8 +188,9 @@ def validate_density(m, d_a, d_b):
     its magnitude when an entry is not finite, or when hermiticity, unit
     trace or positivity fails beyond ``HERMITICITY_TOL``.  A finite entry of
     modulus above 1 + (d^2 + 1) ``HERMITICITY_TOL`` fails positivity before
-    any sum is formed.  The state keeps the Hermitian part (M + M^dag)/2,
-    and the positivity check computes its ``spectrum``.
+    any sum is formed.  The state keeps the Hermitian part (M + M^dag)/2
+    and, as its ``spectrum``, the eigendecomposition that the positivity
+    check computes.
     """
     m = np.asarray(m, dtype=complex)
     d, d_b = as_dim(d_a), as_dim(d_b)
@@ -227,8 +219,10 @@ def validate_density(m, d_a, d_b):
         raise DensityValidationError("trace", trace_err)
     h = 0.5 * (m + mh)
     h.setflags(write=False)
-    rho = DensityMatrix(matrix=h, d=d)
-    lam_min = float(rho.spectrum.eigenvalues[-1])
+    spec = _eigh_descending(h)
+    lam_min = float(spec.eigenvalues[-1])
     if lam_min < -HERMITICITY_TOL:
         raise DensityValidationError("positivity", -lam_min)
-    return rho
+    spec.eigenvalues.setflags(write=False)
+    spec.eigenvectors.setflags(write=False)
+    return DensityMatrix(matrix=h, d=d, spectrum=spec)

@@ -63,7 +63,7 @@ class MarginalReport(NamedTuple):
 
     @property
     def eigenvalues(self):
-        """The marginal's cached spectrum, descending."""
+        """The marginal's validated spectrum, descending."""
         return self.marginal.spectrum.eigenvalues
 
 

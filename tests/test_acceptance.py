@@ -14,7 +14,7 @@ import pytest
 from absfef import absolute, states, tripartite, witness
 from absfef.bases import GELLMANN
 from absfef.fef import canonical_ket, fef
-from absfef.linalg import DensityMatrix, validate_density
+from absfef.linalg import validate_density
 from absfef.reproduce import run_fixtures
 from helpers import (absolute_state, capped_spectrum, fef_two_qubit_oracle,
                      ginibre_density, haar_unitary)
@@ -117,7 +117,7 @@ def test_criterion_03_activation_attains_lambda_max():
         psi = canonical_ket(d)
         for _ in range(trials):
             m = ginibre_density(rng, d * d)
-            rho = DensityMatrix(matrix=m, d=d)
+            rho = validate_density(m, d, d)
             u = absolute.activating_unitary(rho)
             rot = u @ m @ u.conj().T
             overlap = float(np.real(psi.conj() @ rot @ psi))

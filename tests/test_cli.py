@@ -426,9 +426,10 @@ def test_public_api_surface():
 
 
 def test_result_records_are_immutable():
-    # The plain records are NamedTuples; the three classes that cache a
-    # property or validate stay frozen dataclasses.  Either way no field can
-    # be reassigned and no attribute added.
+    # The plain records are NamedTuples; OperatorBasis, which caches a
+    # property, AcinParams, which validates, and DensityMatrix, which holds
+    # its validated spectrum, stay frozen dataclasses.  Either way no field
+    # can be reassigned and no attribute added.
     rho = states.x1()
     w = witness.teleportation_witness(2)
     params = absfef.AcinParams(x=(1, 0, 0, 0, 0))

@@ -100,6 +100,22 @@ def test_fef_isotropic_exact(d, beta):
         beta + (1 - beta) / d**2, abs=1e-12)
 
 
+def _x0(rho):
+    """vec(X0), X0 = polar(reshape(v1)) for the top eigenvector v1."""
+    d = rho.d
+    w, _, vh = np.linalg.svd(rho.spectrum.eigenvectors[:, 0].reshape(d, d))
+    return (w @ vh).ravel()
+
+
+def _x0_bound(rho):
+    """min(lambda_max, f0 + the dual gap at X0), the bound of the first two
+    rungs at d = 3, with the gap built by _dual_gap_kron."""
+    x0 = _x0(rho)
+    f0 = (x0.conj() @ rho.matrix @ x0).real / rho.d
+    return min(rho.spectrum.lambda_max,
+               f0 + _dual_gap_kron(rho.matrix, x0))
+
+
 def _ascent_reference(rho, restarts, seed=0):
     """What fef returns when the ascent runs: (value, unitary, steps).
 
@@ -108,10 +124,9 @@ def _ascent_reference(rho, restarts, seed=0):
     """
     d = rho.d
     lam = rho.spectrum.eigenvalues
-    w, _, vh = np.linalg.svd(rho.spectrum.eigenvectors[:, 0].reshape(d, d))
-    starts = np.vstack([(w @ vh).ravel(), _haar_starts(d, restarts - 1, seed)])
-    x, values, steps, _ = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
-                                  starts)
+    starts = np.vstack([_x0(rho), _haar_starts(d, restarts - 1, seed)])
+    x, values, steps, _, _ = _ascend(rho.matrix - lam[-1] * np.eye(d * d),
+                                     starts)
     best = int(np.argmax(values))
     value = min(values[best] + lam[-1], lam[0])
     unitary = x[best].reshape(d, d).T
@@ -182,7 +197,8 @@ def test_fef_ascent_path_unchanged(monkeypatch):
                 assert res.value == (x.conj() @ y).real / rho.d
                 at_x0 += 1
             continue  # certified
-        assert res.upper_bound == rho.spectrum.lambda_max
+        # uncertified, the bound is still what the rungs at X0 proved
+        assert res.value <= res.upper_bound <= _x0_bound(rho) + 1e-13
         restarts = DEFAULT_RESTARTS[rho.d]
         value, unitary, steps = _ascent_reference(rho, restarts)
         assert steps >= 1
@@ -311,7 +327,8 @@ def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
     assert res.converged
     # y3(0.05)'s dual at X0 is loose: the Haar starts are drawn and the
     # ascent returns the plain ascent's value and unitary bit for bit, as
-    # before the dual rung existed.
+    # before the dual rung existed.  The dual bound at X0 is kept: it lies
+    # below 1/3, where lambda_max is 0.95.
     rho = states.y3(0.05)
     res = fef(rho)
     assert calls == [(3, DEFAULT_RESTARTS[3] - 1, 0)]
@@ -319,7 +336,8 @@ def test_fef_loose_dual_at_x0_still_ascends(monkeypatch):
     assert (res.value, res.iterations) == (value, steps)
     assert steps >= 1
     assert res.optimizer_unitary.tobytes() == unitary.tobytes()
-    assert res.upper_bound == rho.spectrum.lambda_max
+    assert res.value <= res.upper_bound <= _x0_bound(rho) + 1e-13
+    assert res.upper_bound < 1 / 3
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -448,7 +466,8 @@ def test_fef_d2_every_haar_restart_reaches_closed_form():
     starts = _haar_starts(2, 19, 0)
     for rho in rhos:
         lam_min = np.linalg.eigvalsh(rho.matrix)[0]
-        _, values, _, _ = _ascend(rho.matrix - lam_min * np.eye(4), starts)
+        _, values, _, _, _ = _ascend(rho.matrix - lam_min * np.eye(4),
+                                     starts)
         assert np.all(np.abs(values + lam_min
                              - fef_two_qubit_oracle(rho)) < 1e-6)
 
@@ -527,8 +546,10 @@ def test_fef_upper_bound_brackets_value(d, rank, seed):
     rho = _as_state(ginibre_density(np.random.default_rng(seed), d * d,
                                     min(rank, d * d)), d)
     res = fef(rho)
-    assert res.value <= res.upper_bound <= max(rho.spectrum.lambda_max,
-                                               res.value)
+    # One bound starts at lambda_max and every rung only lowers it; at d = 3
+    # the dual at X0 is one of them, whether or not the ascent certifies.
+    top = rho.spectrum.lambda_max if d == 2 else _x0_bound(rho) + 1e-13
+    assert res.value <= res.upper_bound <= max(top, res.value)
     # converged has one meaning at every d: the certificate holds.
     assert res.converged == (res.upper_bound - res.value <= _EPS)
     if d == 2:
@@ -583,6 +604,21 @@ def test_fef_d2_certified_where_the_dual_stays_loose(monkeypatch):
     for rank in (1, 2, 3, 4):
         for _ in range(5):
             fef(_as_state(ginibre_density(rng, 4, rank), 2), restarts=3)
+
+
+def test_fef_y3_activatable_bound_below_threshold():
+    # On y3(q <= 0.225) the closed-form Y, Z leave the gap at every leader
+    # open, but the dual at X0 already bounds the FEF below 1/3.  ``closed`` is the
+    # FEF from max_c q(2c+1)^2/9 + (1-q)(1-c^2)/3, at c* = 2q/(3-7q).
+    for k in range(1, 10):
+        q = k / 40
+        rho = states.y3(q)
+        c = 2 * q / (3 - 7 * q)
+        closed = q * (2 * c + 1) ** 2 / 9 + (1 - q) * (1 - c * c) / 3
+        res = fef(rho)
+        assert classify(rho).label == LABEL_ACTIVATABLE
+        assert abs(res.value - closed) <= 1e-5
+        assert closed <= res.upper_bound < 1 / 3
 
 
 def test_fef_dual_certificate_d3_matches_full_stack():
